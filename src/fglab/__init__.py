@@ -7,7 +7,7 @@ F_p[[u_n]][a]/g(a), realizes the reduced power operation through the quotient
 p-series identity, and runs the weight-descent loop down to a unit.
 """
 
-from .descent import ReducedPowerOperator, descent_run, descent_step, weight_of
+from .descent import ReducedPowerOperator, descent_run, descent_step
 from .dvr import (
     DistinguishedPoly,
     DvrElement,
@@ -63,6 +63,5 @@ __all__ = [
     "run_verify",
     "verify_fgl_congruences",
     "weierstrass_prepare",
-    "weight_of",
     "__version__",
 ]

@@ -42,54 +42,144 @@ from math import comb
 from .errors import IntegralityFailure
 from .fgl import ChromaticConfig
 
-# A "row" is a u-polynomial {t: mantissa}; a "grid" maps (t, deg) or
-# (t, ydeg, xdeg) to mantissas.  A mantissa m at scale s means m * p^(-s).
+
+class ScaledGrid:
+    """Exact values mantissa * p^(-scale): integer mantissas at one shared scale.
+
+    Keys are t for a u-row, (t, deg) for a grid and (t, y-degree, x-degree)
+    for the addition slab.  Scales only grow by lifting mantissas with exact
+    p-powers; ``strip`` lowers them again, and ``certify`` is the only way out
+    to residues mod p.
+    """
+
+    __slots__ = ("p", "scale", "terms")
+
+    def __init__(self, p: int, scale: int = 0, terms: dict | None = None):
+        self.p = p
+        self.scale = scale
+        self.terms = {} if terms is None else terms
+
+    def absorb(self, scale: int, terms: dict):
+        """Add mantissas given at ``scale``, lifting whichever side has the smaller scale."""
+        if not terms:
+            return
+        if scale > self.scale:
+            lift = self.p ** (scale - self.scale)
+            self.terms = {k: m * lift for k, m in self.terms.items()}
+            self.scale = scale
+        lift = self.p ** (self.scale - scale)
+        acc = self.terms
+        for k, m in terms.items():
+            acc[k] = acc.get(k, 0) + m * lift
+
+    def strip(self) -> "ScaledGrid":
+        """Drop zero mantissas and divide out the largest common p-power, down
+        to scale 0 at most.  The result depends only on the exact values."""
+        p = self.p
+        terms = {k: m for k, m in self.terms.items() if m}
+        g = self.scale
+        for m in terms.values():
+            if g == 0:
+                break
+            k = 0
+            while k < g and m % p == 0:
+                m //= p
+                k += 1
+            g = k
+        if g:
+            q = p**g
+            terms = {k: m // q for k, m in terms.items()}
+        self.terms, self.scale = terms, self.scale - g
+        return self
+
+    def certify(self, what: str) -> dict:
+        """Certify p-integrality of every value and reduce mod p."""
+        q = self.p**self.scale
+        out = {}
+        for key, m in self.terms.items():
+            if m % q:
+                raise IntegralityFailure(
+                    f"{what}: coefficient at {key} has denominator p^{self.scale} "
+                    "after exact evaluation; the construction is broken"
+                )
+            r = (m // q) % self.p
+            if r:
+                out[key] = r
+        return out
 
 
-def _strip_scale(p: int, scale: int, values) -> int:
-    """Largest k <= scale with p^k dividing every value (0 values ignored)."""
-    best = scale
-    for v in values:
-        if best == 0:
-            break
-        k = 0
-        while k < best and v % p == 0:
-            v //= p
-            k += 1
-        best = min(best, k)
-    return best
+# One product per key shape.  A product term with u-degree t and degree deg
+# is kept while t <= tmax and t * w + deg <= vb.
 
 
-def _row_mul(r1: dict, r2: dict, tmax: int) -> dict:
+def _rows_mul(r1: dict, r2: dict, tmax: int) -> dict:
     out: dict = {}
     for t1, m1 in r1.items():
         for t2, m2 in r2.items():
             t = t1 + t2
-            if t > tmax:
+            if t <= tmax:
+                out[t] = out.get(t, 0) + m1 * m2
+    return out
+
+
+def _row_grid_mul(row: dict, c: int, grid: dict, tmax: int, w: int, vb: int) -> dict:
+    """c * row * grid."""
+    out: dict = {}
+    for t_r, m_r in row.items():
+        mm = m_r * c
+        for (t_b, deg), m_b in grid.items():
+            t = t_r + t_b
+            if t > tmax or t * w + deg > vb:
                 continue
-            out[t] = out.get(t, 0) + m1 * m2
-    return {t: m for t, m in out.items() if m}
+            key = (t, deg)
+            v = out.get(key)
+            out[key] = m_b * mm if v is None else v + m_b * mm
+    return out
 
 
-def reduced_log_rows(p: int, n: int, jmax: int) -> list[tuple[int, dict]]:
+def _grids_mul(g1: dict, g2: dict, tmax: int, w: int, vb: int) -> dict:
+    out: dict = {}
+    items2 = list(g2.items())
+    for (t1, d1), m1 in g1.items():
+        for (t2, d2), m2 in items2:
+            t = t1 + t2
+            deg = d1 + d2
+            if t > tmax or t * w + deg > vb:
+                continue
+            key = (t, deg)
+            v = out.get(key)
+            out[key] = m1 * m2 if v is None else v + m1 * m2
+    return out
+
+
+def _slab_mul(xgrid: dict, ygrid: dict, tmax: int, w: int, vb: int) -> dict:
+    """Product of an x-side and a y-side grid, keyed (t, ydeg, xdeg); the
+    truncation bounds apply to the y-degree."""
+    out: dict = {}
+    for (t1, xdeg), m1 in xgrid.items():
+        for (t2, ydeg), m2 in ygrid.items():
+            t = t1 + t2
+            if t > tmax or t * w + ydeg > vb:
+                continue
+            key = (t, ydeg, xdeg)
+            v = out.get(key)
+            out[key] = m1 * m2 if v is None else v + m1 * m2
+    return out
+
+
+def reduced_log_rows(p: int, n: int, jmax: int) -> list[ScaledGrid]:
     """Logarithm coefficients m_0..m_jmax of the u_n-specialized law, as
-    (scale, u-poly row) with scale(m_j) = j exactly."""
-    ms: list[tuple[int, dict]] = [(0, {0: 1})]
+    u-rows with scale(m_j) = j exactly."""
+    ms = [ScaledGrid(p, 0, {0: 1})]
     for j in range(1, jmax + 1):
-        acc: dict = {}
-        # m_{j-n} * u^(p^(j-n)), rescaled from j-n to j-1 digits below 1.
+        # p * m_j = m_{j-n} * u^(p^(j-n)) + m_{j-n-1}, summed at scale j - 1.
+        acc = ScaledGrid(p, j - 1)
         if j - n >= 0:
-            s_a, row_a = ms[j - n]
-            lift = p ** ((j - 1) - s_a)
             e = p ** (j - n)
-            for t, m in row_a.items():
-                acc[t + e] = acc.get(t + e, 0) + m * lift
+            acc.absorb(ms[j - n].scale, {t + e: m for t, m in ms[j - n].terms.items()})
         if j - n - 1 >= 0:
-            s_b, row_b = ms[j - n - 1]
-            lift = p ** ((j - 1) - s_b)
-            for t, m in row_b.items():
-                acc[t] = acc.get(t, 0) + m * lift
-        ms.append((j, {t: m for t, m in acc.items() if m}))
+            acc.absorb(ms[j - n - 1].scale, ms[j - n - 1].terms)
+        ms.append(ScaledGrid(p, j, {t: m for t, m in acc.terms.items() if m}))
     return ms
 
 
@@ -102,8 +192,8 @@ def _jmax_for(p: int, cap: int) -> int:
 
 def reduced_exp_rows(
     p: int, n: int, deg_cap: int, ulevels: int, uweight: int, vbound: int
-) -> list[tuple[int, dict]]:
-    """Coefficient rows E_1..E_deg_cap of exp = log^(-1) for the specialized
+) -> list[ScaledGrid]:
+    """Coefficient rows E_0..E_deg_cap of exp = log^(-1) for the specialized
     law, solved degree by degree from log(exp(x)) = x.
 
     Power arrays exp^e for every exponent e on the addition chain of
@@ -132,112 +222,50 @@ def reduced_exp_rows(
         ensure(p**j)
     chain.sort()
 
-    def tmax_at(deg: int) -> int:
-        by_tri = (vbound - deg) // uweight
-        return min(ulevels - 1, by_tri)
-
-    # arrays[e][K] = (scale, row) for the x^K coefficient of exp^e.
-    arrays: dict[int, list] = {e: [] for e in chain}
-    zero = (0, {})
-    for e in chain:
-        for K in range(deg_cap + 1):
-            arrays[e].append(zero)
-    arrays[1][1] = (0, {0: 1})  # exp = x + ...
-
-    out_rows: list[tuple[int, dict]] = [zero, (0, {0: 1})]
+    # arrays[e][K] is the x^K coefficient of exp^e.
+    zero = ScaledGrid(p)
+    arrays = {e: [zero] * (deg_cap + 1) for e in chain}
+    arrays[1][1] = ScaledGrid(p, 0, {0: 1})  # exp = x + ...
 
     for K in range(2, deg_cap + 1):
-        tm = tmax_at(K)
+        tm = min(ulevels - 1, (vbound - K) // uweight)
         # Extend every composite power to degree K using rows of degree < K.
-        for e in chain:
-            if e == 1:
-                continue
+        for e in chain[1:]:
             e1, e2 = plan[e]
             a1, a2 = arrays[e1], arrays[e2]
-            acc: dict = {}
-            acc_scale = 0
+            acc = ScaledGrid(p)
             for i in range(e1, K - e2 + 1):
-                s1, r1 = a1[i]
-                if not r1:
-                    continue
-                s2, r2 = a2[K - i]
-                if not r2:
-                    continue
-                s = s1 + s2
-                if s > acc_scale:
-                    lift = p ** (s - acc_scale)
-                    acc = {t: m * lift for t, m in acc.items()}
-                    acc_scale = s
-                lift = p ** (acc_scale - s)
-                for t1, m1 in r1.items():
-                    for t2, m2 in r2.items():
-                        t = t1 + t2
-                        if t > tm:
-                            continue
-                        acc[t] = acc.get(t, 0) + m1 * m2 * lift
-            acc = {t: m for t, m in acc.items() if m}
-            g = _strip_scale(p, acc_scale, acc.values())
-            if g:
-                acc = {t: m // p**g for t, m in acc.items()}
-                acc_scale -= g
-            arrays[e][K] = (acc_scale, acc)
+                r1, r2 = a1[i], a2[K - i]
+                if r1.terms and r2.terms:
+                    acc.absorb(r1.scale + r2.scale, _rows_mul(r1.terms, r2.terms, tm))
+            arrays[e][K] = acc.strip()
 
         # E_K = -sum_j m_j * (exp^(p^j))|_K.
-        acc = {}
-        acc_scale = 0
+        acc = ScaledGrid(p)
         for j in range(1, jmax + 1):
             if p**j > K:
                 break
-            sj, rowj = ms[j]
-            sp, rowp = arrays[p**j][K]
-            if not rowp:
-                continue
-            s = sj + sp
-            if s > acc_scale:
-                lift = p ** (s - acc_scale)
-                acc = {t: m * lift for t, m in acc.items()}
-                acc_scale = s
-            lift = p ** (acc_scale - s)
-            for t1, m1 in rowj.items():
-                for t2, m2 in rowp.items():
-                    t = t1 + t2
-                    if t > tm:
-                        continue
-                    acc[t] = acc.get(t, 0) - m1 * m2 * lift
-        acc = {t: m for t, m in acc.items() if m}
-        g = _strip_scale(p, acc_scale, acc.values())
-        if g:
-            acc = {t: m // p**g for t, m in acc.items()}
-            acc_scale -= g
-        out_rows.append((acc_scale, acc))
-        arrays[1][K] = (acc_scale, acc)
+            rp = arrays[p**j][K]
+            if rp.terms:
+                acc.absorb(ms[j].scale + rp.scale, _rows_mul(ms[j].terms, rp.terms, tm))
+        acc.strip()
+        arrays[1][K] = ScaledGrid(p, acc.scale, {t: -m for t, m in acc.terms.items()})
 
-    return out_rows
+    return arrays[1]
 
 
-@dataclass
-class Consumer:
-    """One weighted sum over powers: out = sum_l E_(l + row_offset) * scalar(l) * base^l."""
-
-    name: str
-    row_offset: int
-    scalar_of: object  # callable l -> exact int
-    vbound: int
-    scale: int = 0
-    grid: dict = None  # (t, deg) -> mantissa
-
-    def __post_init__(self):
-        self.grid = {}
-
-    def absorb(self, p: int, contrib_scale: int, contrib: dict):
-        if contrib_scale > self.scale:
-            lift = p ** (contrib_scale - self.scale)
-            self.grid = {k: m * lift for k, m in self.grid.items()}
-            self.scale = contrib_scale
-        lift = p ** (self.scale - contrib_scale)
-        g = self.grid
-        for k, m in contrib.items():
-            g[k] = g.get(k, 0) + m * lift
+def _log_grid(ms: list, tmax: int, w: int, vb: int) -> ScaledGrid:
+    """log as a (t, degree) grid, m_j at degree p^j, under the product bounds."""
+    out = ScaledGrid(ms[0].p)
+    for j, mj in enumerate(ms):
+        deg = mj.p**j
+        if deg > vb:
+            break
+        out.absorb(
+            mj.scale,
+            {(t, deg): m for t, m in mj.terms.items() if t <= tmax and t * w + deg <= vb},
+        )
+    return out
 
 
 def _power_pass(
@@ -245,86 +273,37 @@ def _power_pass(
     uweight: int,
     ulevels: int,
     exp_rows: list,
-    base_scale: int,
-    base_terms: dict,
+    base: ScaledGrid,
     lmax: int,
-    consumers: list,
+    sums: list,
 ):
-    """Single pass over powers base^l, feeding every consumer.
+    """Single pass over powers base^l, l <= lmax, feeding every sum.
 
-    The running power is carried as (scale, grid) and multiplied by the
-    sparse base each step; consumers absorb E-row-weighted copies.  All
-    arithmetic is exact; scales only ever grow by lifting mantissas with
-    explicit p-powers, and common p-factors are stripped after each step to
-    keep scales (hence mantissa sizes) bounded.
+    Each sum is (offset, coefs, vbound, out): ``out`` accumulates
+    coefs[l] * E_(l + offset) * base^l on the region t*uweight + deg <= vbound.
+    The running power is stripped after each step to keep scales (hence
+    mantissa sizes) bounded.
     """
-    pow_vbound = max(c.vbound for c in consumers)
-    pow_scale = 0
-    pow_grid = {(0, 0): 1}
-    base_items = list(base_terms.items())
-    nrows = len(exp_rows)
+    tmax = ulevels - 1
+    pow_vbound = max(vb for _, _, vb, _ in sums)
+    power = ScaledGrid(p, 0, {(0, 0): 1})
     for l in range(lmax + 1):
-        for c in consumers:
-            k = l + c.row_offset
-            if k >= nrows:
-                continue
-            s_row, row = exp_rows[k]
-            if not row:
-                continue
-            sc = c.scalar_of(l)
-            if sc == 0:
-                continue
-            vb = c.vbound
-            contrib: dict = {}
-            for t_r, m_r in row.items():
-                mm = m_r * sc
-                for (t_b, deg), m_b in pow_grid.items():
-                    t = t_r + t_b
-                    if t >= ulevels or t * uweight + deg > vb:
-                        continue
-                    key = (t, deg)
-                    v = contrib.get(key)
-                    contrib[key] = m_b * mm if v is None else v + m_b * mm
-            if contrib:
-                c.absorb(p, s_row + pow_scale, contrib)
+        for offset, coefs, vb, out in sums:
+            if l + offset < len(exp_rows):
+                row = exp_rows[l + offset]
+                out.absorb(
+                    row.scale + power.scale,
+                    _row_grid_mul(row.terms, coefs[l], power.terms, tmax, uweight, vb),
+                )
         if l == lmax:
             break
-        # pow_grid *= base (sparse), truncated to the deepest consumer region.
-        nxt: dict = {}
-        for (t1, d1), m1 in pow_grid.items():
-            for (t2, d2), m2 in base_items:
-                t = t1 + t2
-                deg = d1 + d2
-                if t >= ulevels or t * uweight + deg > pow_vbound:
-                    continue
-                key = (t, deg)
-                v = nxt.get(key)
-                nxt[key] = m1 * m2 if v is None else v + m1 * m2
-        pow_scale += base_scale
-        pow_grid = {k: m for k, m in nxt.items() if m}
-        if not pow_grid:
+        power = ScaledGrid(
+            p,
+            power.scale + base.scale,
+            _grids_mul(power.terms, base.terms, tmax, uweight, pow_vbound),
+        ).strip()
+        if not power.terms:
             break
-        g = _strip_scale(p, pow_scale, pow_grid.values())
-        if g:
-            pow_grid = {k: m // p**g for k, m in pow_grid.items()}
-            pow_scale -= g
-    return
-
-
-def _grid_to_residues(p: int, scale: int, grid: dict, what: str) -> dict:
-    """Certify p-integrality of every mantissa and reduce mod p."""
-    q = p**scale
-    out = {}
-    for key, m in grid.items():
-        if m % q:
-            raise IntegralityFailure(
-                f"{what}: coefficient at {key} has denominator p^{scale} "
-                "after exact evaluation; the construction is broken"
-            )
-        r = (m // q) % p
-        if r:
-            out[key] = r
-    return out
 
 
 @dataclass
@@ -347,7 +326,6 @@ class ReducedLawData:
     series_a: dict
     slab: dict
     p_series_x: dict
-    exp_scale_max: int
 
 
 def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
@@ -357,151 +335,55 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     vbound = (M + 2) * d
     a_cap = vbound + p**n
     ulevels = M + 2
-    # Slab consumers index rows m + l with l <= vbound, m <= x_cap; the
+    # Slab sums index rows m + l with l <= vbound, m <= x_cap; the
     # univariate ones index up to a_cap.  One cap covers both.
     deg_cap = max(a_cap, vbound + x_cap)
 
     exp_rows = reduced_exp_rows(p, n, deg_cap, ulevels, d, deg_cap)
-    jmax = _jmax_for(p, deg_cap)
-    ms = reduced_log_rows(p, n, jmax)
+    ms = reduced_log_rows(p, n, _jmax_for(p, deg_cap))
 
-    # log(a) as a sparse (t, deg) grid at a common scale.
-    la_scale = jmax
-    la_terms: dict = {}
-    for j, (sj, rowj) in enumerate(ms):
-        deg = p**j
-        if deg > a_cap:
-            break
-        lift = p ** (la_scale - sj)
-        for t, m in rowj.items():
-            if t < ulevels and t * d + deg <= a_cap:
-                la_terms[(t, deg)] = m * lift
-
-    consumers = [
-        Consumer("p_series_a", 0, lambda l: p**l, a_cap),
+    # [i](a) = sum_l E_l i^l (log a)^l, and the slab's x^m coefficient
+    # H_m(y) = sum_l E_(m+l) C(m+l, m) (log y)^l, in one pass over (log a)^l.
+    multiples = [p] + list(range(2, p)) + [-k for k in range(1, p)]
+    series = {i: ScaledGrid(p) for i in multiples}
+    slab_h = [ScaledGrid(p) for _ in range(x_cap + 1)]
+    sums = [(0, [i**l for l in range(a_cap + 1)], a_cap, series[i]) for i in multiples]
+    sums += [
+        (m, [comb(m + l, m) for l in range(a_cap + 1)], vbound, h)
+        for m, h in enumerate(slab_h)
     ]
-    series_labels = []
-    for i in list(range(2, p)) + [-k for k in range(1, p)]:
-        series_labels.append(i)
-        consumers.append(Consumer(f"series_{i}", 0, (lambda i: lambda l: i**l)(i), a_cap))
-    slab_offset = len(consumers)
-    for m in range(x_cap + 1):
-        consumers.append(
-            Consumer(f"slab_h{m}", m, (lambda m: lambda l: comb(m + l, m))(m), vbound)
-        )
+    log_a = _log_grid(ms, ulevels - 1, d, a_cap)
+    _power_pass(p, d, ulevels, exp_rows, log_a, a_cap, sums)
 
-    _power_pass(p, d, ulevels, exp_rows, la_scale, la_terms, a_cap, consumers)
-
-    p_series_a = _grid_to_residues(
-        p, consumers[0].scale, consumers[0].grid, "p-series"
-    )
+    p_series_a = series[p].certify("p-series")
     series_a = {1: {(0, 1): 1}}
-    for idx, i in enumerate(series_labels, start=1):
-        series_a[i] = _grid_to_residues(
-            p, consumers[idx].scale, consumers[idx].grid, f"[{i}](a)"
+    for i in multiples[1:]:
+        series_a[i] = series[i].certify(f"[{i}](a)")
+
+    # The slab F(x, y) = sum_m (log x)^m H_m(y) and, on the small x side,
+    # [p](x) = sum_m p^m E_m (log x)^m walk the same chain of powers of log x.
+    # Only the totals are p-integral, so both are certified at the end.
+    xt = min(ulevels - 1, vbound // d)
+    log_x = _log_grid(ms, xt, 0, x_cap)
+    slab, p_x = ScaledGrid(p), ScaledGrid(p)
+    power = ScaledGrid(p, 0, {(0, 0): 1})  # (log x)^m over keys (t, x-degree)
+    for m, h in enumerate(slab_h):
+        slab.absorb(
+            h.scale + power.scale,
+            _slab_mul(power.terms, h.terms, ulevels - 1, d, vbound),
         )
-
-    # Assemble the slab F(x, y) = sum_m (log x)^m * H_m and certify at the end:
-    # only the total is p-integral.
-    lx_scale = _jmax_for(p, x_cap)
-    lx_terms: dict = {}
-    for j in range(0, _jmax_for(p, x_cap) + 1):
-        sj, rowj = ms[j]
-        deg = p**j
-        lift = p ** (lx_scale - sj)
-        for t, m in rowj.items():
-            if t < ulevels and t * d <= vbound:
-                lx_terms[(t, deg)] = rowj[t] * lift
-    slab_scale = 0
-    slab_grid: dict = {}
-    lxp_scale = 0
-    lxp_grid = {(0, 0): 1}  # (t, xdeg) -> mantissa, the running power of log x
-    for m in range(x_cap + 1):
-        h = consumers[slab_offset + m]
-        if h.grid:
-            s = h.scale + lxp_scale
-            contrib: dict = {}
-            for (t1, xdeg), m1 in lxp_grid.items():
-                if xdeg > x_cap:
-                    continue
-                for (t2, ydeg), m2 in h.grid.items():
-                    t = t1 + t2
-                    if t >= ulevels or t * d + ydeg > vbound:
-                        continue
-                    key = (t, ydeg, xdeg)
-                    v = contrib.get(key)
-                    contrib[key] = m1 * m2 if v is None else v + m1 * m2
-            if s > slab_scale:
-                lift = p ** (s - slab_scale)
-                slab_grid = {k: v * lift for k, v in slab_grid.items()}
-                slab_scale = s
-            lift = p ** (slab_scale - s)
-            for key, v in contrib.items():
-                slab_grid[key] = slab_grid.get(key, 0) + v * lift
+        row = exp_rows[m]  # E_0 = 0
+        p_x.absorb(
+            row.scale + power.scale,
+            _row_grid_mul(row.terms, p**m, power.terms, xt, 0, x_cap),
+        )
         if m < x_cap:
-            nxt: dict = {}
-            for (t1, d1), m1 in lxp_grid.items():
-                for (t2, d2), m2 in lx_terms.items():
-                    t, deg = t1 + t2, d1 + d2
-                    if t >= ulevels or deg > x_cap or t * d > vbound:
-                        continue
-                    key = (t, deg)
-                    v = nxt.get(key)
-                    nxt[key] = m1 * m2 if v is None else v + m1 * m2
-            lxp_grid = {k: v for k, v in nxt.items() if v}
-            lxp_scale += lx_scale
-            g = _strip_scale(p, lxp_scale, lxp_grid.values())
-            if g:
-                lxp_grid = {k: v // p**g for k, v in lxp_grid.items()}
-                lxp_scale -= g
-    slab_grid = {k: v for k, v in slab_grid.items() if v}
-    slab = _grid_to_residues(p, slab_scale, slab_grid, "addition slab")
+            power = ScaledGrid(
+                p,
+                power.scale + log_x.scale,
+                _grids_mul(power.terms, log_x.terms, xt, 0, x_cap),
+            ).strip()
 
-    # [p](x) on the small x side: exp(p * log x).
-    px_scale = 0
-    px_grid: dict = {}
-    pw_scale = 0
-    pw_grid = {(0, 0): 1}
-    for l in range(x_cap + 1):
-        if l >= 1 and l < len(exp_rows):
-            s_row, row = exp_rows[l]
-            if row:
-                sc = p**l
-                contrib = {}
-                for t_r, m_r in row.items():
-                    for (t_b, deg), m_b in pw_grid.items():
-                        t = t_r + t_b
-                        if t >= ulevels or deg > x_cap or t * d > vbound:
-                            continue
-                        key = (t, deg)
-                        v = contrib.get(key)
-                        add = m_r * sc * m_b
-                        contrib[key] = add if v is None else v + add
-                s = s_row + pw_scale
-                if s > px_scale:
-                    lift = p ** (s - px_scale)
-                    px_grid = {k: v * lift for k, v in px_grid.items()}
-                    px_scale = s
-                lift = p ** (px_scale - s)
-                for key, v in contrib.items():
-                    px_grid[key] = px_grid.get(key, 0) + v * lift
-        if l < x_cap:
-            nxt = {}
-            for (t1, d1), m1 in pw_grid.items():
-                for (t2, d2), m2 in lx_terms.items():
-                    t, deg = t1 + t2, d1 + d2
-                    if t >= ulevels or deg > x_cap or t * d > vbound:
-                        continue
-                    key = (t, deg)
-                    v = nxt.get(key)
-                    nxt[key] = m1 * m2 if v is None else v + m1 * m2
-            pw_grid = {k: v for k, v in nxt.items() if v}
-            pw_scale += lx_scale
-    p_series_x = _grid_to_residues(
-        p, px_scale, {k: v for k, v in px_grid.items() if v}, "[p](x)"
-    )
-
-    exp_scale_max = max(s for s, _ in exp_rows)
     return ReducedLawData(
         config=config,
         d=d,
@@ -510,7 +392,6 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
         x_cap=x_cap,
         p_series_a=p_series_a,
         series_a=series_a,
-        slab=slab,
-        p_series_x=p_series_x,
-        exp_scale_max=exp_scale_max,
+        slab=slab.certify("addition slab"),
+        p_series_x=p_x.certify("[p](x)"),
     )

@@ -137,7 +137,6 @@ def main(argv=None) -> int:
                 args.n,
                 x_deg=args.x_deg,
                 u_prec=args.u_prec,
-                check_filter=args.check,
                 force=args.force,
             )
             return emit(report, args, args.check)

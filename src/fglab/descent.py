@@ -19,22 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IndexOutOfRange, PrecisionExhausted, WeightNotReduced
+from .errors import PrecisionExhausted, WeightNotReduced
 from .dvr import DvrElement
 from .scalars import USeries
-
-
-def weight_of(z: USeries) -> int | None:
-    """u-valuation of a truncated series; None when zero up to precision."""
-    return z.weight()
-
-
-def phi_extract(r: DvrElement, i: int) -> USeries:
-    """The coefficient of a^i in the reduced representative: the dual-basis
-    functional sending a^i to 1 and the other basis monomials to 0."""
-    if not 0 <= i < r.ring.d:
-        raise IndexOutOfRange(f"index {i} outside [0, {r.ring.d})")
-    return r.coeffs[i]
 
 
 class ReducedPowerOperator:
@@ -63,10 +50,6 @@ class ReducedPowerOperator:
                 self.ring, tuple(s.scale(c) for s in term.coeffs), prec=term.prec
             )
         return out
-
-
-def apply_reduced_power(z: USeries, un_image: DvrElement) -> DvrElement:
-    return ReducedPowerOperator(un_image).apply(z)
 
 
 @dataclass

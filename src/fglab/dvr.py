@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -436,14 +438,6 @@ class DvrRing:
         coeffs = tuple(USeries(p, acc[i].tolist()) for i in range(d))
         return DvrElement(self, coeffs, prec=prec)
 
-    # -- ring description ----------------------------------------------------
-
-    def is_zero(self, e: "DvrElement") -> bool:
-        return e.is_zero()
-
-    def inv(self, e: "DvrElement") -> "DvrElement":
-        return e.unit_inverse()
-
     def __eq__(self, other):
         return isinstance(other, DvrRing) and other.g == self.g
 
@@ -534,11 +528,6 @@ class DvrElement:
             if e:
                 base = base * base
         return result
-
-    def scale_useries(self, c: USeries) -> "DvrElement":
-        return DvrElement(
-            self.ring, tuple(a * c for a in self.coeffs), prec=self.prec
-        )
 
     # -- valuation / weight -----------------------------------------------------
 
@@ -638,9 +627,6 @@ class DvrElement:
 
     # -- views --------------------------------------------------------------
 
-    def coefficient(self, i: int) -> USeries:
-        return self.coeffs[i]
-
     def residue_mod_m(self) -> int:
         """Image in R/(a, u) = F_p."""
         return self.coeffs[0].coeffs[0]
@@ -664,34 +650,16 @@ class DvrElement:
         return f"DvrElement({self.render()}, prec={self.prec})"
 
 
-def dvr_mul(lhs: DvrElement, rhs: DvrElement, g: DistinguishedPoly) -> DvrElement:
-    """Multiplication in R as a standalone operation (the elements carry
-    their ring; g is cross-checked against it)."""
-    if lhs.ring.g != g:
-        raise PrecisionMismatch("element does not belong to the ring of g")
-    return lhs * rhs
-
-
-def valuation(e: DvrElement) -> WeightValue:
-    return e.weight()
+def _product_of_multiples(ring: DvrRing, series_a: dict, multiples) -> DvrElement:
+    return reduce(mul, (ring.from_rows(series_a[i]) for i in multiples))
 
 
 def compute_psi(ring: DvrRing, series_a: dict) -> DvrElement:
-    """Psi = product over 1 <= i <= p-1 of [i](a), reduced into R.
-
-    Also available: the same product over the negated multiples, which equals
-    Psi; both are computed and compared by the pipeline, not assumed.
-    """
-    p = ring.p
-    psi = ring.from_rows(series_a[1])
-    for i in range(2, p):
-        psi = psi * ring.from_rows(series_a[i])
-    return psi
+    """Psi = product over 1 <= i <= p-1 of [i](a), reduced into R."""
+    return _product_of_multiples(ring, series_a, range(1, ring.p))
 
 
 def compute_psi_negative(ring: DvrRing, series_a: dict) -> DvrElement:
-    p = ring.p
-    out = ring.from_rows(series_a[-1])
-    for i in range(2, p):
-        out = out * ring.from_rows(series_a[-i])
-    return out
+    """The same product over the negated multiples [-i](a); it equals Psi, which
+    the pipeline checks rather than assumes."""
+    return _product_of_multiples(ring, series_a, range(-1, -ring.p, -1))

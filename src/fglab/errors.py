@@ -28,10 +28,6 @@ class NonzeroConstantTerm(FglabError):
     converge under truncation semantics."""
 
 
-class NonUnitConstantTerm(FglabError):
-    """Series inversion was requested but the constant term is not a unit."""
-
-
 class NonUnitLinearCoefficient(FglabError):
     """Compositional reversion was requested but the linear coefficient is not
     an invertible scalar."""
@@ -69,10 +65,6 @@ class PrecisionExhausted(FglabError):
 
 class NeitherSignHolds(FglabError):
     """Neither sign choice satisfies the product identity being tested."""
-
-
-class IndexOutOfRange(FglabError, IndexError):
-    """A basis index outside [0, d) was requested."""
 
 
 class DeskScaleExceeded(FglabError):

@@ -167,9 +167,6 @@ class PrimeField:
     def from_int(self, k: int) -> FpElement:
         return FpElement(k, self.p)
 
-    def elements(self):
-        return [FpElement(r, self.p) for r in range(self.p)]
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -283,13 +280,6 @@ class USeries:
     def scale(self, c: int) -> "USeries":
         return USeries(self.p, [c * a for a in self.coeffs])
 
-    def shift(self, t: int) -> "USeries":
-        """Multiply by u^t (truncating)."""
-        if t == 0:
-            return self
-        M = self.precision
-        return USeries(self.p, (0,) * t + self.coeffs[: M - t])
-
     def divide_by_u(self, t: int = 1) -> "USeries":
         """Exact division by u^t.  The quotient's top t coefficients are not
         determined by this value and are set to 0; callers must account for
@@ -347,11 +337,3 @@ class USeries:
                 parts.append(f"u^{t}" if c == 1 else f"{c}*u^{t}")
         return " + ".join(parts) if parts else "0"
 
-
-def useries_arith(lhs: USeries, rhs: USeries, kind: str) -> USeries:
-    """Dispatching form of u-series arithmetic: kind in {'add', 'mul'}."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown kind {kind!r}")

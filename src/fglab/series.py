@@ -17,8 +17,8 @@ and intermediate sizes stay bounded.
 
 The scalar ring is pluggable: anything with ``zero``, ``one``, ``from_int``,
 ``is_zero`` and ``inv`` works, with scalar values combined through their own
-operators.  Adapters for the exact rationals, F_p and truncated u-series live
-here; the valuation-ring scalars are adapted where they are defined.
+operators.  Adapters for the exact rationals and F_p live here; the
+fraction field of the valuation ring is adapted where it is defined.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
-    NonUnitConstantTerm,
     NonUnitLinearCoefficient,
     NonzeroConstantTerm,
     VariableMismatch,
 )
-from .scalars import FpElement, PrimeField, USeries
+from .scalars import FpElement, PrimeField
 
 FORMAL_NAMES = ("x", "y", "z", "a")
 
@@ -94,40 +93,6 @@ class PrimeFieldRing:
 
     def __repr__(self):
         return f"PrimeFieldRing({self.p})"
-
-
-class USeriesRing:
-    """Scalar adapter for F_p[[u]]/(u^M)."""
-
-    def __init__(self, p: int, precision: int):
-        self.p = p
-        self.precision = precision
-        self.zero = USeries.zero(p, precision)
-        self.one = USeries.one(p, precision)
-
-    def from_int(self, k: int) -> USeries:
-        return USeries.monomial(self.p, self.precision, 0, k)
-
-    @staticmethod
-    def is_zero(c: USeries) -> bool:
-        return c.is_zero()
-
-    @staticmethod
-    def inv(c: USeries) -> USeries:
-        return c.inverse()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, USeriesRing)
-            and other.p == self.p
-            and other.precision == self.precision
-        )
-
-    def __hash__(self):
-        return hash(("USeriesRing", self.p, self.precision))
-
-    def __repr__(self):
-        return f"USeriesRing(p={self.p}, M={self.precision})"
 
 
 class MultiSeries:
@@ -236,7 +201,7 @@ class MultiSeries:
 
     def __pow__(self, n: int) -> "MultiSeries":
         if n < 0:
-            raise ValueError("negative power; use invert_unit")
+            raise ValueError("negative power")
         result = MultiSeries.one(self.ring, self.variables, self.formal_cap, self.u_cap)
         base = self
         while n:
@@ -274,9 +239,6 @@ class MultiSeries:
 
     def constant_term(self):
         return self.terms.get((0,) * len(self.variables), self.ring.zero)
-
-    def max_formal_degree(self) -> int:
-        return max((self.formal_degree(e) for e in self.terms), default=0)
 
     # -- substitution ---------------------------------------------------------
 
@@ -386,35 +348,7 @@ class MultiSeries:
                 out[e] = nc
         return MultiSeries(ring, self.variables, self.formal_cap, self.u_cap, out)
 
-    # -- inversion and reversion ----------------------------------------------
-
-    def invert_unit(self) -> "MultiSeries":
-        """Multiplicative inverse of a series with invertible constant term."""
-        c0 = self.constant_term()
-        if self.ring.is_zero(c0):
-            raise NonUnitConstantTerm("constant term is zero")
-        try:
-            c0_inv = self.ring.inv(c0)
-        except ZeroDivisionError as exc:
-            raise NonUnitConstantTerm(str(exc)) from None
-        # s = c0 (1 - w) with w having no constant term; geometric series in w.
-        one = MultiSeries.one(self.ring, self.variables, self.formal_cap, self.u_cap)
-        w = one - self.scale(c0_inv)
-        out = one
-        power = one
-        bound = self.formal_cap + (self.u_cap if self.u_cap is not None else 0) + 1
-        for _ in range(bound):
-            power = power * w
-            if power.is_zero():
-                break
-            out = out + power
-        else:
-            if not power.is_zero():
-                raise NonUnitConstantTerm(
-                    "series does not become invertible under the caps "
-                    "(u-variables unbounded?)"
-                )
-        return out.scale(c0_inv)
+    # -- reversion -------------------------------------------------------------
 
     def _formal_variable_of(self) -> str:
         names = set()
@@ -502,21 +436,3 @@ class MultiSeries:
 
     def __repr__(self):
         return f"MultiSeries({self.render()})"
-
-
-# Functional aliases; the operations exist both as methods and functions.
-
-def ms_mul(lhs: MultiSeries, rhs: MultiSeries) -> MultiSeries:
-    return lhs * rhs
-
-
-def ms_compose(outer: MultiSeries, substitutions: dict) -> MultiSeries:
-    return outer.compose(substitutions)
-
-
-def ms_invert_unit(s: MultiSeries) -> MultiSeries:
-    return s.invert_unit()
-
-
-def ms_reversion(s: MultiSeries) -> MultiSeries:
-    return s.reversion()

@@ -13,7 +13,7 @@ the big-series stage has to reach, which is what actually hurts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -86,26 +86,43 @@ class Pipeline:
     epsilon_extracted: int
     epsilon_divided: int
     operator: ReducedPowerOperator
-    timing_ms: dict = field(default_factory=dict)
+    started_at: float  # time.perf_counter() when the build began
+    stage_ends: tuple  # (timing key, time.perf_counter() at the end of that stage)
+
+    @property
+    def timing_ms(self) -> dict:
+        return _durations(self.started_at, self.stage_ends)
+
+
+def _durations(start: float, ends) -> dict:
+    """Milliseconds per stage from consecutive stage end times.  Each stage is
+    the difference of rounded times since ``start``, so the stages add up to
+    the rounded time of the last end exactly."""
+    out, prev = {}, 0
+    for name, t in ends:
+        ms = int((t - start) * 1000)
+        out[name] = ms - prev
+        prev = ms
+    return out
 
 
 @lru_cache(maxsize=8)
 def build_pipeline(p: int, n: int, x_deg: int = 0, u_prec: int = 32) -> Pipeline:
     cfg = ChromaticConfig(p, n, formal_cap=x_deg, u_precision=u_prec)
-    timing: dict = {}
+    started_at = time.perf_counter()
+    ends: list = []
 
-    t = time.perf_counter()
+    def stage_done(name: str):
+        ends.append((name, time.perf_counter()))
+
     law = build_fgl(cfg)
-    timing["fgl_build_ms"] = int((time.perf_counter() - t) * 1000)
-    t = time.perf_counter()
+    stage_done("fgl_build_ms")
     congruences = verify_fgl_congruences(law)
-    timing["fgl_congruences_ms"] = int((time.perf_counter() - t) * 1000)
+    stage_done("fgl_congruences_ms")
 
-    t = time.perf_counter()
     data = build_reduced_law_data(cfg)
-    timing["bigseries_ms"] = int((time.perf_counter() - t) * 1000)
+    stage_done("bigseries_ms")
 
-    t = time.perf_counter()
     fact = weierstrass_from_rows(
         p,
         data.p_series_a,
@@ -118,16 +135,15 @@ def build_pipeline(p: int, n: int, x_deg: int = 0, u_prec: int = 32) -> Pipeline
     ring = DvrRing(fact.distinguished)
     psi = compute_psi(ring, data.series_a)
     psi_neg = compute_psi_negative(ring, data.series_a)
-    timing["weierstrass_ms"] = int((time.perf_counter() - t) * 1000)
+    stage_done("weierstrass_ms")
 
-    t = time.perf_counter()
     rows = slab_row_tables(data.slab, data.x_cap)
     norm = quotient_p_series(ring, rows, data.series_a, data.p_series_x, data.x_cap)
     nbar_ext = extract_un_image(norm, n)
     nbar_div = un_image_by_division(psi, n)
     eps_ext = sign_check(nbar_ext, psi, n)
     eps_div = sign_check(nbar_div, psi, n)
-    timing["isogeny_ms"] = int((time.perf_counter() - t) * 1000)
+    stage_done("isogeny_ms")
 
     op = ReducedPowerOperator(nbar_div)
     return Pipeline(
@@ -145,7 +161,8 @@ def build_pipeline(p: int, n: int, x_deg: int = 0, u_prec: int = 32) -> Pipeline
         epsilon_extracted=eps_ext,
         epsilon_divided=eps_div,
         operator=op,
-        timing_ms=timing,
+        started_at=started_at,
+        stage_ends=tuple(ends),
     )
 
 
@@ -520,42 +537,50 @@ def descent_rows(pipe: Pipeline) -> tuple[list, list]:
     return rows, traces
 
 
+def _report_config(cfg: ChromaticConfig, command: str, seed: int | None = None) -> dict:
+    return {
+        "p": cfg.p,
+        "n": cfg.n,
+        "x_deg": cfg.formal_cap,
+        "u_prec": cfg.u_precision,
+        "command": command,
+        "seed": seed,
+    }
+
+
 def run_verify(
     p: int,
     n: int,
     x_deg: int = 0,
     u_prec: int = 32,
-    check_filter: str | None = None,
     force: bool = False,
 ) -> RunReport:
+    """Build (or reuse) the pipeline and report every check.
+
+    The timing block carries the pipeline's stage times only when this call
+    built it; a pipeline reused from the cache is marked ``"pipeline":
+    "reused"`` instead.  The stage times add up to ``total_ms``."""
     cfg = ChromaticConfig(p, n, formal_cap=x_deg, u_precision=u_prec)
     guard_config(cfg, force)
     t_total = time.perf_counter()
     pipe = build_pipeline(p, n, x_deg, u_prec)
-    report = RunReport(
-        config={
-            "p": p,
-            "n": n,
-            "x_deg": cfg.formal_cap,
-            "u_prec": u_prec,
-            "command": "verify",
-            "seed": None,
-        }
-    )
+    report = RunReport(config=_report_config(cfg, "verify"))
     report.extend(pipe.congruences.rows)
     report.extend(reduced_series_rows(pipe))
     report.extend(weierstrass_rows(pipe))
     report.extend(dvr_rows(pipe))
     report.extend(isogeny_rows(pipe))
-    t = time.perf_counter()
+    ends = [("check_rows_ms", time.perf_counter())]
     rows, traces = descent_rows(pipe)
     report.extend(rows)
     report.descent_traces = traces
     report.epsilon_sign = pipe.epsilon_divided
-    report.timing = dict(pipe.timing_ms)
-    report.timing["descent_ms"] = int((time.perf_counter() - t) * 1000)
-    report.timing["total_ms"] = int((time.perf_counter() - t_total) * 1000)
-    _ = check_filter  # filtering applied at render time
+    ends.append(("descent_ms", time.perf_counter()))
+    if pipe.started_at >= t_total:
+        report.timing = _durations(t_total, pipe.stage_ends + tuple(ends))
+    else:
+        report.timing = {"pipeline": "reused", **_durations(t_total, ends)}
+    report.timing["total_ms"] = int((ends[-1][1] - t_total) * 1000)
     return report
 
 
@@ -575,16 +600,7 @@ def run_descent_command(
     guard_config(cfg, force)
     t_total = time.perf_counter()
     pipe = build_pipeline(p, n, 0, u_prec)
-    report = RunReport(
-        config={
-            "p": p,
-            "n": n,
-            "x_deg": cfg.formal_cap,
-            "u_prec": u_prec,
-            "command": "descent",
-            "seed": seed if random_count else None,
-        }
-    )
+    report = RunReport(config=_report_config(cfg, "descent", seed if random_count else None))
     report.epsilon_sign = pipe.epsilon_divided
     M = cfg.u_precision
     zs: list[tuple[str, USeries]] = []
@@ -684,16 +700,7 @@ def run_pseries_command(
     congr = verify_fgl_congruences(law)
     if i_max is None:
         i_max = p * p + 1
-    report = RunReport(
-        config={
-            "p": p,
-            "n": n,
-            "x_deg": cfg.formal_cap,
-            "u_prec": u_prec,
-            "command": "pseries",
-            "seed": None,
-        }
-    )
+    report = RunReport(config=_report_config(cfg, "pseries"))
     fp = PrimeFieldRing(p)
     for i in range(i_max + 1):
         ser = i_series(law, i)

@@ -29,8 +29,8 @@ def _line(num: int, ok: bool, desc: str):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_1_fgl_axioms_and_addition_congruences(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_1_fgl_axioms_and_addition_congruences(pipeline, p, n):
+    pipe = pipeline(p, n)
     rows = {r.name: r for r in pipe.congruences.rows}
     ok = all(
         rows[name].ok
@@ -51,8 +51,8 @@ def test_criterion_1_fgl_axioms_and_addition_congruences(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_2_iseries_table(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_2_iseries_table(pipeline, p, n):
+    pipe = pipeline(p, n)
     rows = {r.name: r for r in pipe.congruences.rows}
     imax = p * p + 1
     wanted = []
@@ -71,8 +71,8 @@ def test_criterion_2_iseries_table(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_3_weierstrass_factorization(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_3_weierstrass_factorization(pipeline, p, n):
+    pipe = pipeline(p, n)
     cfg = pipe.config
     d = cfg.eisenstein_degree
     g = pipe.factorization.distinguished
@@ -93,8 +93,8 @@ def test_criterion_3_weierstrass_factorization(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_4_valuation_ring(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_4_valuation_ring(pipeline, p, n):
+    pipe = pipeline(p, n)
     d = pipe.config.eisenstein_degree
     ok = (
         eisenstein_check(pipe.factorization.distinguished)
@@ -112,8 +112,8 @@ def test_criterion_4_valuation_ring(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_5_quotient_identity(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_5_quotient_identity(pipeline, p, n):
+    pipe = pipeline(p, n)
     defects_ok = all(
         v is None or v >= prec for (v, prec) in pipe.norm.residual_defects
     )
@@ -130,8 +130,8 @@ def test_criterion_5_quotient_identity(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_6_vanishing_division_weights(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_6_vanishing_division_weights(pipeline, p, n):
+    pipe = pipeline(p, n)
     d = pipe.config.eisenstein_degree
     q = pipe.norm.quotient.coefficients
     vanish = all(q[j].is_zero() for j in range(1, p**n))
@@ -151,8 +151,8 @@ def test_criterion_6_vanishing_division_weights(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_7_epsilon_sign(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_7_epsilon_sign(pipeline, p, n):
+    pipe = pipeline(p, n)
     consistent = pipe.epsilon_extracted == pipe.epsilon_divided
     report = run_verify(p, n)
     stated = report.to_dict()["epsilon_sign"]
@@ -165,8 +165,8 @@ def test_criterion_7_epsilon_sign(p, n):
 
 
 @pytest.mark.parametrize("p,n", CONFIGS)
-def test_criterion_8_descent(p, n):
-    pipe = build_pipeline(p, n)
+def test_criterion_8_descent(pipeline, p, n):
+    pipe = pipeline(p, n)
     M = pipe.config.u_precision
     d = pipe.ring.d
     t0 = time.perf_counter()
@@ -190,6 +190,15 @@ def test_criterion_8_descent(p, n):
         f"({p},{n}) 100 seeded descents (wt 1..20) strictly decreasing to a unit "
         f"in {elapsed:.1f} s (< 60 s); z = u takes {len(single.steps)} step(s)",
     )
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
+def test_verify_golden(p, n):
+    """The complete (3,1) and (2,2) reports, timing stripped, byte-exactly;
+    run_verify reuses the pipelines the criteria above cached."""
+    got = comparable_bytes(run_verify(p, n).to_dict())
+    with open(os.path.join(GOLDEN_DIR, f"verify_p{p}_n{n}.json"), "rb") as fh:
+        assert got == fh.read()
 
 
 def test_criterion_9_determinism_and_goldens():

@@ -1,14 +1,15 @@
 """The large-degree engine against the exact-rational route and direct oracles."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from fglab.bigseries import (
+    ScaledGrid,
     build_reduced_law_data,
     reduced_exp_rows,
     reduced_log_rows,
-    _grid_to_residues,
 )
 from fglab.errors import IntegralityFailure
 from fglab.fgl import ChromaticConfig, build_fgl, i_series
@@ -37,8 +38,8 @@ def test_log_rows_match_fraction_oracle(p, n):
     jmax = 6
     rows = reduced_log_rows(p, n, jmax)
     oracle = fraction_log_oracle(p, n, jmax)
-    for j, (scale, row) in enumerate(rows):
-        got = {t: Fraction(m, p**scale) for t, m in row.items()}
+    for j, row in enumerate(rows):
+        got = {t: Fraction(m, p**row.scale) for t, m in row.terms.items()}
         assert got == oracle[j], f"m_{j} differs"
 
 
@@ -52,8 +53,8 @@ def test_exp_rows_match_rational_reversion(p, n):
     # variables now (x, un)
     rows = reduced_exp_rows(p, n, cfg.formal_cap, 40, cfg.eisenstein_degree, 1000)
     for K in range(1, cfg.formal_cap + 1):
-        scale, row = rows[K]
-        got = {t: Fraction(m, p**scale) for t, m in row.items()}
+        row = rows[K]
+        got = {t: Fraction(m, p**row.scale) for t, m in row.terms.items()}
         want = {}
         for e, c in exp_small.terms.items():
             if e[0] == K and c:
@@ -148,6 +149,61 @@ def test_slab_unit_rows():
 def test_grid_to_residues_certifies():
     # 3 / 2 is not 2-integral: the mantissa 3 at scale 1 fails
     with pytest.raises(IntegralityFailure):
-        _grid_to_residues(2, 1, {(0, 0): 3}, "test")
-    assert _grid_to_residues(2, 1, {(0, 0): 6}, "test") == {(0, 0): 1}
-    assert _grid_to_residues(2, 1, {(0, 0): 4}, "test") == {}
+        ScaledGrid(2, 1, {(0, 0): 3}).certify("test")
+    assert ScaledGrid(2, 1, {(0, 0): 6}).certify("test") == {(0, 0): 1}
+    assert ScaledGrid(2, 1, {(0, 0): 4}).certify("test") == {}
+
+
+def test_scaled_grid_absorb_and_strip():
+    """absorb lifts to the larger scale; strip returns to the smallest one
+    that keeps every mantissa integral, whatever the values were built from."""
+    g = ScaledGrid(3, 1, {0: 2})  # 2/3
+    g.absorb(2, {0: 3, 1: 9})  # + 3/9 at t = 0, + 9/9 at t = 1
+    assert (g.scale, g.terms) == (2, {0: 9, 1: 9})
+    g.strip()
+    assert (g.scale, g.terms) == (0, {0: 1, 1: 1})
+    g.absorb(1, {0: -3})
+    assert (g.strip().scale, g.terms) == (0, {1: 1})
+
+
+# sha256 of repr(sorted(grid.items())) for every grid of the stock
+# configurations at u-precision 32, recorded before the engine was rebuilt
+# on ScaledGrid.
+GRID_DIGESTS = {
+    (2, 1): {
+        "p_series_a": "483e0b74334e6ea6057c00a445eb8e848499eb790712b7ac5a0a7af3f4b745c3",
+        "slab": "cd476400cd973e19f624a0648c5f756cb56a64c9087bff117ceae0d5b689ca68",
+        "p_series_x": "638fbe39e01d36cd47b50bd9140f5e137fdf6c5957786e6882cbd3b575bb5447",
+        "series_a[1]": "18f3df02a8e86094889bc41745125b67cb74978f257c9e9d0f60a24dd2e2a407",
+        "series_a[-1]": "fedd1c823fcaba224bb2af46cf756dcac221d256dede9f1bb0711fa218d0926f",
+    },
+    (3, 1): {
+        "p_series_a": "ffebc7e0898bd52bec4ce784be249f9d3e6ddae2199114836eddf267d5e9466d",
+        "slab": "0de52565c77396642cbbb0760b296d746b4cabf40a43997a9ead17c1a766ab89",
+        "p_series_x": "08843e40d91ac32beee5dba80b4ea72a48ebad714eddcac33bf0df3d5735e08a",
+        "series_a[1]": "18f3df02a8e86094889bc41745125b67cb74978f257c9e9d0f60a24dd2e2a407",
+        "series_a[2]": "b0c470e81ef4c17f908a6f92d752bb6f82d511a962044a4e89a802eda222af43",
+        "series_a[-1]": "370276c6f8c4c7c7357f77c50c13b6514c4b0b31a83b8639bb8b096a5ede8e4c",
+        "series_a[-2]": "e94c3889a79b3efc1ef522aa91079179d7eb975032fc86114dcb5c3df5496bfe",
+    },
+    (2, 2): {
+        "p_series_a": "6f097c11990efb9150db9f4b8355bae3df47ac0be9663807ba3e5568406323f3",
+        "slab": "de395948c7dd741cd1d999258b48ab5a44d3aa16562cae44a896e82b2574375b",
+        "p_series_x": "342dab2c7628e0bcbaf22ad9b34d857d503f0bf70dab50c4bb91774d75d7a879",
+        "series_a[1]": "18f3df02a8e86094889bc41745125b67cb74978f257c9e9d0f60a24dd2e2a407",
+        "series_a[-1]": "62dcf665c02ff9f731922969dd40bda9133bfae43b2090846ff3204a13125ac1",
+    },
+}
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+def test_grid_digests_pinned(pipeline, p, n):
+    data = pipeline(p, n).data
+    grids = {"p_series_a": data.p_series_a, "slab": data.slab, "p_series_x": data.p_series_x}
+    for i, g in data.series_a.items():
+        grids[f"series_a[{i}]"] = g
+    got = {
+        k: hashlib.sha256(repr(sorted(g.items())).encode()).hexdigest()
+        for k, g in grids.items()
+    }
+    assert got == GRID_DIGESTS[(p, n)]

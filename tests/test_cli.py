@@ -67,6 +67,23 @@ class TestReports:
         assert validate_report(payload) == []
         assert payload["epsilon_sign"] == 1
 
+    def test_reused_pipeline_reports_no_stage_times(self):
+        # u-precision 8 is built by no other test, so the first call builds.
+        first = run_verify(2, 1, u_prec=8).timing
+        second = run_verify(2, 1, u_prec=8).timing
+        stages = {
+            "fgl_build_ms",
+            "fgl_congruences_ms",
+            "bigseries_ms",
+            "weierstrass_ms",
+            "isogeny_ms",
+        }
+        assert stages <= set(first) and "pipeline" not in first
+        assert second["pipeline"] == "reused" and not stages & set(second)
+        for timing in (first, second):
+            parts = [v for k, v in timing.items() if k.endswith("_ms") and k != "total_ms"]
+            assert sum(parts) == timing["total_ms"]
+
     def test_text_format(self, capsys):
         assert main(["verify", "--p", "2", "--n", "1", "--format", "text"]) == 0
         out = capsys.readouterr().out

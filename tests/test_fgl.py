@@ -13,7 +13,7 @@ from fglab.fgl import (
     verify_fgl_congruences,
 )
 from fglab.scalars import reduce_mod_p
-from fglab.series import MultiSeries, RationalRing, ms_compose
+from fglab.series import MultiSeries, RationalRing
 
 QQ = RationalRing()
 
@@ -145,7 +145,7 @@ class TestISeries:
     def test_composition_multiplicativity(self):
         F = build_fgl(ChromaticConfig(2, 1))
         for (i, j) in [(2, 2), (2, 3), (-1, 2)]:
-            lhs = ms_compose(i_series(F, i), {"x": i_series(F, j)})
+            lhs = i_series(F, i).compose({"x": i_series(F, j)})
             assert lhs == i_series(F, i * j)
 
 

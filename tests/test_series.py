@@ -4,20 +4,11 @@ from fractions import Fraction
 import pytest
 
 from fglab.errors import (
-    NonUnitConstantTerm,
     NonUnitLinearCoefficient,
     NonzeroConstantTerm,
     VariableMismatch,
 )
-from fglab.series import (
-    MultiSeries,
-    PrimeFieldRing,
-    RationalRing,
-    ms_compose,
-    ms_invert_unit,
-    ms_mul,
-    ms_reversion,
-)
+from fglab.series import MultiSeries, PrimeFieldRing, RationalRing
 
 QQ = RationalRing()
 
@@ -29,12 +20,12 @@ def xy(name, cap=6):
 class TestMul:
     def test_difference_of_squares(self):
         x, y = xy("x"), xy("y")
-        assert ms_mul(x + y, x - y) == x * x - y * y
+        assert (x + y) * (x - y) == x * x - y * y
 
     def test_unit(self):
         s = xy("x") + xy("y") * xy("y")
         one = MultiSeries.one(QQ, ("x", "y"), 6)
-        assert ms_mul(s, one) == s
+        assert s * one == s
 
     def test_cap_truncation(self):
         D = 5
@@ -67,7 +58,7 @@ class TestCompose:
         x = MultiSeries.variable(QQ, ("x",), "x", 6)
         outer = x * x
         sub = xy("x") + xy("y")
-        got = ms_compose(outer, {"x": sub})
+        got = outer.compose({"x": sub})
         want = xy("x") ** 2 + xy("x") * xy("y") * MultiSeries.constant(
             QQ, Fraction(2), ("x", "y"), 6
         ) + xy("y") ** 2
@@ -76,13 +67,13 @@ class TestCompose:
     def test_substitute_zero_gives_constant(self):
         x = MultiSeries.variable(QQ, ("x",), "x", 6)
         outer = x * x + MultiSeries.constant(QQ, Fraction(7), ("x",), 6)
-        got = ms_compose(outer, {"x": MultiSeries.zero(QQ, ("x",), 6)})
+        got = outer.compose({"x": MultiSeries.zero(QQ, ("x",), 6)})
         assert got == MultiSeries.constant(QQ, Fraction(7), ("x",), 6)
 
     def test_nonzero_constant_rejected(self):
         x = MultiSeries.variable(QQ, ("x",), "x", 6)
         with pytest.raises(NonzeroConstantTerm):
-            ms_compose(x, {"x": MultiSeries.one(QQ, ("x",), 6)})
+            x.compose({"x": MultiSeries.one(QQ, ("x",), 6)})
 
     def test_compose_associative_random(self):
         rng = random.Random(5)
@@ -94,41 +85,9 @@ class TestCompose:
             return MultiSeries(QQ, ("x",), cap, None, terms)
         for _ in range(10):
             f, g, h = (rand_unit_linear() for _ in range(3))
-            assert ms_compose(ms_compose(f, {"x": g}), {"x": h}) == ms_compose(
-                f, {"x": ms_compose(g, {"x": h})}
+            assert f.compose({"x": g}).compose({"x": h}) == f.compose(
+                {"x": g.compose({"x": h})}
             )
-
-
-class TestInvertUnit:
-    def test_geometric(self):
-        cap = 5
-        x = MultiSeries.variable(QQ, ("x",), "x", cap)
-        one = MultiSeries.one(QQ, ("x",), cap)
-        inv = ms_invert_unit(one - x)
-        want = sum((x**k for k in range(1, cap + 1)), one)
-        assert inv == want
-
-    def test_involution(self):
-        s = MultiSeries(
-            QQ, ("x", "y"), 4, None,
-            {(0, 0): Fraction(2), (1, 0): Fraction(1), (1, 1): Fraction(-3)},
-        )
-        assert ms_invert_unit(ms_invert_unit(s)) == s
-
-    def test_char_two_geometric_with_u(self):
-        # invert(1 + u*a) = 1 + u*a + u^2*a^2 + ... under both caps
-        fp = PrimeFieldRing(2)
-        cap, ucap = 3, 4
-        one = MultiSeries.one(fp, ("a", "u1"), cap, ucap)
-        ua = MultiSeries(fp, ("a", "u1"), cap, ucap, {(1, 1): fp.one})
-        inv = ms_invert_unit(one + ua)
-        want = one + ua + ua * ua + ua * ua * ua
-        assert inv == want
-
-    def test_nonunit_rejected(self):
-        x = MultiSeries.variable(QQ, ("x",), "x", 4)
-        with pytest.raises(NonUnitConstantTerm):
-            ms_invert_unit(x)
 
 
 def catalan_reversion_oracle(cap: int) -> MultiSeries:
@@ -147,13 +106,13 @@ def catalan_reversion_oracle(cap: int) -> MultiSeries:
 class TestReversion:
     def test_identity(self):
         x = MultiSeries.variable(QQ, ("x",), "x", 6)
-        assert ms_reversion(x) == x
+        assert x.reversion() == x
 
     def test_catalan_signs(self):
         cap = 6
         x = MultiSeries.variable(QQ, ("x",), "x", cap)
         s = x + x * x
-        r = ms_reversion(s)
+        r = s.reversion()
         # frozen from the independent fixed-point oracle: signed Catalans
         expected = {1: 1, 2: -1, 3: 2, 4: -5, 5: 14, 6: -42}
         for deg, c in expected.items():
@@ -169,20 +128,20 @@ class TestReversion:
             for e in range(2, cap + 1):
                 terms[(e,)] = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
             s = MultiSeries(QQ, ("x",), cap, None, terms)
-            r = ms_reversion(s)
-            assert ms_compose(r, {"x": s}) == x
-            assert ms_compose(s, {"x": r}) == x
+            r = s.reversion()
+            assert r.compose({"x": s}) == x
+            assert s.compose({"x": r}) == x
 
     def test_zero_linear_rejected(self):
         x = MultiSeries.variable(QQ, ("x",), "x", 4)
         with pytest.raises(NonUnitLinearCoefficient):
-            ms_reversion(x * x)
+            (x * x).reversion()
 
     def test_constant_rejected(self):
         x = MultiSeries.variable(QQ, ("x",), "x", 4)
         one = MultiSeries.one(QQ, ("x",), 4)
         with pytest.raises(NonzeroConstantTerm):
-            ms_reversion(x + one)
+            (x + one).reversion()
 
 
 class TestSerialization:
