@@ -27,7 +27,7 @@ from .fgl import (
     i_series,
     verify_fgl_congruences,
 )
-from .isogeny import FracElement, FracRing, QuotientPSeries
+from .isogeny import FracElement, QuotientPSeries
 from .scalars import FpElement, PrimeField, USeries, reduce_mod_p
 from .series import MultiSeries
 from .verify import build_pipeline, run_verify
@@ -43,7 +43,6 @@ __all__ = [
     "FormalGroupLaw",
     "FpElement",
     "FracElement",
-    "FracRing",
     "MultiSeries",
     "PrimeField",
     "QuotientPSeries",

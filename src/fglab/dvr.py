@@ -550,6 +550,11 @@ class DvrElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
+    def is_zero_within_prec(self) -> bool:
+        """Zero up to the precision horizon: no stored term below ``prec``."""
+        v = self.valuation()
+        return v is None or v >= self.prec
+
     def __eq__(self, other):
         if not isinstance(other, DvrElement):
             return NotImplemented

@@ -7,10 +7,14 @@ one identity in R[[x]]:
 
 for a unique series Q(y) over Frac(R).  The right-hand product is the norm
 coordinate f(x); its linear coefficient is the product of the [-k](a), a
-valuation-(p-1) element equal to +/- Psi, so f only reverts over the fraction
-field.  Q is recovered as (left product) composed with the reversion of f,
-every coefficient is certified to lie in R (denominator-free after
-normalization), and the defining identity is re-checked by back-substitution.
+valuation-(p-1) element equal to +/- Psi, so f_1 is invertible only over the
+fraction field.  Comparing x^k coefficients gives a triangular system,
+
+    Q_k = (lhs_k - sum_{j<k} Q_j [f^j]_k) / f_1^k,
+
+solved over Frac(R) with a-power denominators only.  Every coefficient is
+certified to lie in R (denominator-free after normalization), and the defining
+identity is re-checked by back-substitution through the same powers f^j.
 
 Both factors x -_F [k](a) and [p](x) -_F [k](a) are evaluations of the
 addition-law slab F(x, y) at y = [-k](a): translation by a ring element never
@@ -44,7 +48,6 @@ from .errors import (
 )
 from .dvr import DvrElement, DvrRing
 from .scalars import USeries
-from .series import MultiSeries
 
 
 class FracElement:
@@ -52,16 +55,17 @@ class FracElement:
 
     __slots__ = ("num", "shift")
 
-    def __init__(self, num: DvrElement, shift: int = 0, normalize: bool = True):
-        if normalize and shift > 0:
-            if num.is_zero():
-                shift = 0
-            while shift > 0:
-                v = num.valuation()
-                if v is None or v < 1:
-                    break
-                num = num.divide_by_a()
-                shift -= 1
+    def __init__(self, num: DvrElement, shift: int = 0):
+        if shift > 0 and num.is_zero():
+            # 0 / a^shift is known only to prec - shift.
+            num = DvrElement(num.ring, num.coeffs, prec=num.prec - shift)
+            shift = 0
+        while shift > 0:
+            v = num.valuation()
+            if v is None or v < 1:
+                break
+            num = num.divide_by_a()
+            shift -= 1
         self.num = num
         self.shift = shift
 
@@ -88,9 +92,6 @@ class FracElement:
         n1, n2, s = self._align(other)
         return FracElement(n1 - n2, s)
 
-    def __neg__(self) -> "FracElement":
-        return FracElement(-self.num, self.shift, normalize=False)
-
     def __mul__(self, other: "FracElement") -> "FracElement":
         return FracElement(self.num * other.num, self.shift + other.shift)
 
@@ -100,15 +101,8 @@ class FracElement:
         n1, n2, _ = self._align(other)
         return (n1 - n2).is_zero()
 
-    def __hash__(self):
-        return hash((self.num, self.shift))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def valuation_value(self):
-        v = self.num.valuation()
-        return None if v is None else v - self.shift
 
     def as_dvr(self) -> DvrElement:
         if self.shift:
@@ -123,41 +117,6 @@ class FracElement:
 
     def __repr__(self):
         return f"FracElement({self.render()})"
-
-
-class FracRing:
-    """Scalar adapter for Frac(R), with a-power denominators only."""
-
-    def __init__(self, dvr: DvrRing):
-        self.dvr = dvr
-        self.zero = FracElement(dvr.zero(), 0, normalize=False)
-        self.one = FracElement(dvr.one(), 0, normalize=False)
-
-    def from_int(self, k: int) -> FracElement:
-        return FracElement(self.dvr.from_int(k), 0, normalize=False)
-
-    def embed(self, e: DvrElement) -> FracElement:
-        return FracElement(e, 0, normalize=False)
-
-    @staticmethod
-    def is_zero(c: FracElement) -> bool:
-        return c.is_zero()
-
-    def inv(self, c: FracElement) -> FracElement:
-        unit, v = c.num.unit_part()
-        inv = unit.unit_inverse()
-        if c.shift >= v:
-            return FracElement(inv * self.dvr.a() ** (c.shift - v), 0, normalize=False)
-        return FracElement(inv, v - c.shift, normalize=False)
-
-    def __eq__(self, other):
-        return isinstance(other, FracRing) and other.dvr == self.dvr
-
-    def __hash__(self):
-        return hash(("FracRing", self.dvr))
-
-    def __repr__(self):
-        return f"FracRing({self.dvr!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +185,29 @@ def _xseries_mul(ring: DvrRing, A: list, B: list, x_cap: int) -> list:
     return out
 
 
+def _xseries_powers(ring: DvrRing, s: list, x_cap: int) -> list:
+    """s^0, s^1, ... as x-series, up to s^x_cap or the first power that vanishes."""
+    powers = [[ring.one()] + [ring.zero()] * x_cap]
+    for _ in range(x_cap):
+        nxt = _xseries_mul(ring, powers[-1], s, x_cap)
+        if all(e.is_zero() for e in nxt):
+            break
+        powers.append(nxt)
+    return powers
+
+
+def _xseries_compose(ring: DvrRing, coeffs: list, powers: list, x_cap: int) -> list:
+    """sum_i coeffs[i] * s^i, given the powers of s."""
+    out = [ring.zero() for _ in range(x_cap + 1)]
+    for c, power in zip(coeffs, powers):
+        if c.is_zero():
+            continue
+        for deg, e in enumerate(power):
+            if not e.is_zero():
+                out[deg] = out[deg] + e * c
+    return out
+
+
 @dataclass
 class QuotientPSeries:
     """The quotient p-series Q(y): coefficients over Frac(R), certified to be
@@ -250,21 +232,6 @@ class NormData:
     residual_defects: list  # (valuation, precision) of the defect per x-degree
 
 
-def norm_coordinate(ring: DvrRing, slab_rows: list, series_a: dict, x_cap: int) -> list:
-    """f(x) = prod_{k=0}^{p-1} (x -_F [k](a)) as x-series coefficients over R.
-
-    The k = 0 factor is x itself; each factor for k >= 1 is the slab
-    evaluated at the inverse multiple [-k](a)."""
-    p = ring.p
-    prod = [ring.one()]
-    for k in range(1, p):
-        ck = ring.from_rows(series_a[-k])
-        factor = translate_series(ring, slab_rows, ck, x_cap)
-        prod = _xseries_mul(ring, prod, factor, x_cap) if k > 1 else factor
-    out = [ring.zero()] + prod[:x_cap]
-    return out
-
-
 def p_series_x_over_ring(ring: DvrRing, p_series_x: dict, x_cap: int) -> list:
     """[p](x) as an x-series with coefficients in F_p[[u]] inside R."""
     coeffs = [ring.zero() for _ in range(x_cap + 1)]
@@ -287,66 +254,43 @@ def quotient_p_series(
     Raises ResidualMismatch when back-substitution leaves a defect that is
     visibly nonzero at the working precision."""
     p = ring.p
-    f = norm_coordinate(ring, slab_rows, series_a, x_cap)
+    # phi_k(x) = x -_F [k](a): the slab evaluated at the inverse multiple.
+    phis = [
+        translate_series(ring, slab_rows, ring.from_rows(series_a[-k]), x_cap)
+        for k in range(1, p)
+    ]
 
-    # Left-hand product: each factor [p](x) -_F [k](a) is the slab at [-k](a)
-    # composed with the x-series [p](x).
+    # Norm coordinate f(x) = x * prod_k phi_k(x); the k = 0 factor is x.
+    prod = phis[0]
+    for phi in phis[1:]:
+        prod = _xseries_mul(ring, prod, phi, x_cap)
+    f = [ring.zero()] + prod[:x_cap]
+
+    # Left-hand product [p](x) * prod_k phi_k([p](x)).
     P = p_series_x_over_ring(ring, p_series_x, x_cap)
+    p_powers = _xseries_powers(ring, P, x_cap)
     lhs = P
-    for k in range(1, p):
-        ck = ring.from_rows(series_a[-k])
-        phi = translate_series(ring, slab_rows, ck, x_cap)
-        factor = [phi[0]] + [ring.zero()] * x_cap
-        cur = [ring.one()]
-        for i in range(1, len(phi)):
-            cur = _xseries_mul(ring, cur, P, x_cap)
-            if all(e.is_zero() for e in cur):
-                break
-            if phi[i].is_zero():
-                continue
-            for deg, e in enumerate(cur):
-                if not e.is_zero():
-                    factor[deg] = factor[deg] + e * phi[i]
-        lhs = _xseries_mul(ring, lhs, factor, x_cap)
+    for phi in phis:
+        lhs = _xseries_mul(ring, lhs, _xseries_compose(ring, phi, p_powers, x_cap), x_cap)
 
-    # Reversion of f over Frac(R) and composition.
-    frac = FracRing(ring)
-    fx = MultiSeries(
-        frac,
-        ("x",),
-        x_cap,
-        None,
-        {(i,): frac.embed(c) for i, c in enumerate(f) if not c.is_zero()},
-    )
-    rev = fx.reversion()
-    lhs_ms = MultiSeries(
-        frac,
-        ("x",),
-        x_cap,
-        None,
-        {(i,): frac.embed(c) for i, c in enumerate(lhs) if not c.is_zero()},
-    )
-    q_ms = lhs_ms.compose({"x": rev})
-
-    coefficients = [frac.zero]
-    integral = [True]
-    for j in range(1, x_cap + 1):
-        c = q_ms.terms.get((j,), frac.zero)
-        c = FracElement(c.num, c.shift)  # re-normalize
-        coefficients.append(c)
-        integral.append(c.is_integral)
+    # Triangular solve: Q_k = (lhs_k - sum_{j<k} Q_j [f^j]_k) / f_1^k.
+    f_powers = _xseries_powers(ring, f, x_cap)
+    unit, v = f[1].unit_part()
+    f1_inv = FracElement(unit.unit_inverse(), v)
+    f1_inv_k = FracElement(ring.one())
+    coefficients = [FracElement(ring.zero())]
+    for k in range(1, x_cap + 1):
+        f1_inv_k = f1_inv_k * f1_inv
+        acc = FracElement(lhs[k])
+        for j in range(1, k):
+            if not (coefficients[j].is_zero() or f_powers[j][k].is_zero()):
+                acc = acc - coefficients[j] * FracElement(f_powers[j][k])
+        coefficients.append(acc * f1_inv_k)
+    integral = [c.is_integral for c in coefficients]
     quotient = QuotientPSeries(coefficients=coefficients, integral=integral)
     if not all(integral):
         bad = [j for j, ok in enumerate(integral) if not ok]
-        starved = [
-            j
-            for j in bad
-            if coefficients[j].num.prec <= 0
-            or (lambda v, pr: v is None or v >= pr)(
-                coefficients[j].num.valuation(), coefficients[j].num.prec
-            )
-        ]
-        if starved == bad:
+        if all(coefficients[j].num.is_zero_within_prec() for j in bad):
             raise PrecisionExhausted(
                 f"cannot certify integrality of the quotient p-series at "
                 f"y-degrees {bad}: the u-precision is too small for this "
@@ -357,23 +301,13 @@ def quotient_p_series(
         )
 
     # Back-substitute: Q(f(x)) must reproduce the left product.
-    q_dvr = [c.as_dvr() for c in coefficients]
-    back = [ring.zero() for _ in range(x_cap + 1)]
-    cur = [ring.one()]
-    for j in range(1, x_cap + 1):
-        cur = _xseries_mul(ring, cur, f, x_cap)
-        if q_dvr[j].is_zero():
-            continue
-        for deg, e in enumerate(cur):
-            if e.is_zero():
-                continue
-            back[deg] = back[deg] + e * q_dvr[j]
+    back = _xseries_compose(ring, [c.as_dvr() for c in coefficients], f_powers, x_cap)
     residual_defects = []
     for deg in range(x_cap + 1):
         delta = back[deg] - lhs[deg]
         v = delta.valuation()
         residual_defects.append((v, delta.prec))
-        if v is not None and v < delta.prec:
+        if not delta.is_zero_within_prec():
             raise ResidualMismatch(
                 f"back-substitution defect at x^{deg}: valuation {v} "
                 f"below precision {delta.prec}"
@@ -415,9 +349,7 @@ def un_image_by_division(psi: DvrElement, n: int) -> DvrElement:
 def equal_within_prec(x: DvrElement, y: DvrElement) -> tuple[bool, int]:
     """Compare two elements up to the coarser precision; returns (equal, prec)."""
     delta = x - y
-    prec = delta.prec
-    v = delta.valuation()
-    return (v is None or v >= prec), prec
+    return delta.is_zero_within_prec(), delta.prec
 
 
 def sign_check(un_image: DvrElement, psi: DvrElement, n: int) -> int:

@@ -17,8 +17,7 @@ and intermediate sizes stay bounded.
 
 The scalar ring is pluggable: anything with ``zero``, ``one``, ``from_int``,
 ``is_zero`` and ``inv`` works, with scalar values combined through their own
-operators.  Adapters for the exact rationals and F_p live here; the
-fraction field of the valuation ring is adapted where it is defined.
+operators.  Adapters for the exact rationals and F_p live here.
 """
 
 from __future__ import annotations

@@ -411,7 +411,9 @@ def isogeny_rows(pipe: Pipeline) -> list:
         )
     )
     q = pipe.norm.quotient.coefficients
-    nonzero_degrees = [j for j in range(1, len(q)) if not q[j].is_zero()]
+    nonzero_degrees = [
+        j for j in range(1, len(q)) if not q[j].num.is_zero_within_prec()
+    ]
     rows.append(
         _row(
             "quotient_support",

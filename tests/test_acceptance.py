@@ -5,8 +5,11 @@ are the stated expectations, asserted as hard limits.  One line prints per
 criterion per configuration; run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -17,10 +20,11 @@ from fglab.dvr import eisenstein_check, reconstruction_defect
 from fglab.isogeny import equal_within_prec
 from fglab.report import comparable_bytes
 from fglab.scalars import USeries
-from fglab.verify import build_pipeline, run_verify
+from fglab.verify import run_verify
 
 CONFIGS = [(2, 1), (3, 1), (2, 2)]
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "goldens")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def _line(num: int, ok: bool, desc: str):
@@ -201,11 +205,18 @@ def test_verify_golden(p, n):
         assert got == fh.read()
 
 
-def test_criterion_9_determinism_and_goldens():
+def test_criterion_9_determinism_and_goldens(tmp_path):
+    """The second run is the CLI in a fresh interpreter, with its own hash
+    seed and an empty pipeline cache."""
     rep1 = run_verify(2, 1)
-    build_pipeline.cache_clear()
-    rep2 = run_verify(2, 1)
-    same = comparable_bytes(rep1.to_dict()) == comparable_bytes(rep2.to_dict())
+    out = tmp_path / "verify_p2_n1.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    argv = ["verify", "--p", "2", "--n", "1", "--out", str(out)]
+    code = f"import sys; from fglab.cli import main; sys.exit(main({argv!r}))"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=600)
+    rep2 = json.loads(out.read_text())
+    same = comparable_bytes(rep1.to_dict()) == comparable_bytes(rep2)
     with open(os.path.join(GOLDEN_DIR, "verify_p2_n1.json"), "rb") as fh:
         golden_ok = comparable_bytes(rep1.to_dict()) == fh.read()
     _line(

@@ -5,14 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.bigseries import (
-    ScaledGrid,
-    build_reduced_law_data,
-    reduced_exp_rows,
-    reduced_log_rows,
-)
+from fglab.bigseries import ScaledGrid, reduced_exp_rows, reduced_log_rows
 from fglab.errors import IntegralityFailure
-from fglab.fgl import ChromaticConfig, build_fgl, i_series
+from fglab.fgl import i_series
 from fglab.scalars import reduce_mod_p
 from fglab.series import PrimeFieldRing
 
@@ -44,11 +39,11 @@ def test_log_rows_match_fraction_oracle(p, n):
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2)])
-def test_exp_rows_match_rational_reversion(p, n):
+def test_exp_rows_match_rational_reversion(pipeline, p, n):
     """The scaled-integer exp agrees with the exact-Fraction reversion of the
     full law specialized at u_1 = ... = u_{n-1} = 0."""
-    cfg = ChromaticConfig(p, n)
-    F = build_fgl(cfg)
+    pipe = pipeline(p, n)
+    cfg, F = pipe.config, pipe.law
     exp_small = F.exp_series.substitute_zero([f"u{j}" for j in range(1, n)])
     # variables now (x, un)
     rows = reduced_exp_rows(p, n, cfg.formal_cap, 40, cfg.eisenstein_degree, 1000)
@@ -62,27 +57,26 @@ def test_exp_rows_match_rational_reversion(p, n):
         assert got == want, f"exp row {K} differs"
 
 
-def small_route_pseries(cfg):
-    F = build_fgl(cfg)
+def small_route_pseries(F):
+    cfg = F.config
     ser = i_series(F, cfg.p)
     red = ser.map_coefficients(lambda c: reduce_mod_p(c, cfg.p), PrimeFieldRing(cfg.p))
     red = red.substitute_zero([f"u{j}" for j in range(1, cfg.n)])
     return {(e[1], e[0]): c.residue for e, c in red.terms.items()}
 
 
-def small_route_slab(cfg):
-    F = build_fgl(cfg)
-    red = F.reduced_addition.substitute_zero([f"u{j}" for j in range(1, cfg.n)])
+def small_route_slab(F):
+    red = F.reduced_addition.substitute_zero([f"u{j}" for j in range(1, F.config.n)])
     return {(e[2], e[1], e[0]): c.residue for e, c in red.terms.items()}
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
-def test_routes_agree(p, n):
-    cfg = ChromaticConfig(p, n)
-    data = build_reduced_law_data(cfg)
+def test_routes_agree(pipeline, p, n):
+    pipe = pipeline(p, n)
+    cfg, data = pipe.config, pipe.data
     d, vb, D = data.d, data.vbound, cfg.formal_cap
 
-    small = small_route_pseries(cfg)
+    small = small_route_pseries(pipe.law)
     big = {
         k: v
         for k, v in data.p_series_a.items()
@@ -93,7 +87,7 @@ def test_routes_agree(p, n):
 
     slab_small = {
         k: v
-        for k, v in small_route_slab(cfg).items()
+        for k, v in small_route_slab(pipe.law).items()
         if k[1] + k[2] <= D and k[0] * d + k[1] <= vb and k[2] <= data.x_cap
     }
     slab_big = {
@@ -105,10 +99,9 @@ def test_routes_agree(p, n):
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
-def test_iseries_rows_agree_with_rational_route(p, n):
-    cfg = ChromaticConfig(p, n)
-    data = build_reduced_law_data(cfg)
-    F = build_fgl(cfg)
+def test_iseries_rows_agree_with_rational_route(pipeline, p, n):
+    pipe = pipeline(p, n)
+    cfg, data, F = pipe.config, pipe.data, pipe.law
     d, vb, D = data.d, data.vbound, cfg.formal_cap
     for i in list(range(1, p)) + [-k for k in range(1, p)]:
         ser = i_series(F, i)
@@ -127,19 +120,17 @@ def test_iseries_rows_agree_with_rational_route(p, n):
         assert big == small, f"[{i}](a) differs"
 
 
-def test_pseries_x_matches_pseries_a_shape():
+def test_pseries_x_matches_pseries_a_shape(pipeline):
     """[p](x) on the x side agrees with [p](a) where both are defined."""
-    cfg = ChromaticConfig(2, 1)
-    data = build_reduced_law_data(cfg)
+    data = pipeline(2, 1).data
     for (t, deg), v in data.p_series_x.items():
         if deg <= data.x_cap and t * data.d + deg <= data.vbound:
             assert data.p_series_a.get((t, deg)) == v
 
 
-def test_slab_unit_rows():
+def test_slab_unit_rows(pipeline):
     """F(0, y) = y and F(x, 0) = x hold in the slab exactly."""
-    cfg = ChromaticConfig(3, 1)
-    data = build_reduced_law_data(cfg)
+    data = pipeline(3, 1).data
     x_rows = {k: v for k, v in data.slab.items() if k[1] == 0}
     assert x_rows == {(0, 0, 1): 1}
     y_rows = {k: v for k, v in data.slab.items() if k[2] == 0}

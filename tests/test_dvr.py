@@ -23,24 +23,24 @@ from fglab.scalars import USeries
 
 
 class TestReduceToUn:
-    def test_n1_kills_nothing(self):
-        F = build_fgl(ChromaticConfig(2, 1))
+    def test_n1_kills_nothing(self, pipeline):
+        F = pipeline(2, 1).law
         red = reduce_to_un(F)
         assert red.variables == ("x", "y", "u1")
         assert set(F.reduced_addition.variables) == set(red.variables)
 
-    def test_reduced_pseries_leading(self):
+    def test_reduced_pseries_leading(self, pipeline):
         # [p](a) = u * a^(p^n) mod a^(p^n + 1)
         for (p, n) in [(2, 1), (3, 1), (2, 2)]:
-            F = build_fgl(ChromaticConfig(p, n))
+            F = pipeline(p, n).law
             rows = rows_from_reduced_series(reduced_p_series(F))
             low = {k: v for k, v in rows.items() if k[1] <= p**n}
             assert low == {(1, p**n): 1}
 
-    def test_reduced_pseries_top(self):
+    def test_reduced_pseries_top(self, pipeline):
         # [p](a) = a^(p^(n+1)) mod (u, a^(p^(n+1) + 1))
         for (p, n) in [(2, 1), (2, 2)]:
-            F = build_fgl(ChromaticConfig(p, n))
+            F = pipeline(p, n).law
             rows = rows_from_reduced_series(reduced_p_series(F))
             top = {k: v for k, v in rows.items() if k[0] == 0 and k[1] <= p ** (n + 1)}
             assert top == {(0, p ** (n + 1)): 1}
@@ -207,9 +207,8 @@ class TestWeierstrass:
                 == fact_deep.distinguished.coefficients[i].coeffs[:lvl]
             )
 
-    def test_too_few_levels_rejected(self):
-        cfg = ChromaticConfig(2, 1)
-        F = build_fgl(cfg)
+    def test_too_few_levels_rejected(self, pipeline):
+        F = pipeline(2, 1).law
         with pytest.raises(NotPreparable):
             weierstrass_prepare(reduced_p_series(F), 2, 2, 1)
 
