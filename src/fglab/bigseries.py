@@ -279,22 +279,30 @@ def _power_pass(
 ):
     """Single pass over powers base^l, l <= lmax, feeding every sum.
 
-    Each sum is (offset, coefs, vbound, out): ``out`` accumulates
-    coefs[l] * E_(l + offset) * base^l on the region t*uweight + deg <= vbound.
+    Each sum is (offset, vbound, targets): every (coefs, out) in ``targets``
+    accumulates coefs[l] * E_(l + offset) * base^l on the region
+    t*uweight + deg <= vbound.  The product E_(l + offset) * base^l is formed
+    once per sum and power; each target absorbs it scaled by its coefs[l].
     The running power is stripped after each step to keep scales (hence
     mantissa sizes) bounded.
     """
     tmax = ulevels - 1
-    pow_vbound = max(vb for _, _, vb, _ in sums)
+    pow_vbound = max(vb for _, vb, _ in sums)
     power = ScaledGrid(p, 0, {(0, 0): 1})
     for l in range(lmax + 1):
-        for offset, coefs, vb, out in sums:
+        for offset, vb, targets in sums:
             if l + offset < len(exp_rows):
                 row = exp_rows[l + offset]
-                out.absorb(
-                    row.scale + power.scale,
-                    _row_grid_mul(row.terms, coefs[l], power.terms, tmax, uweight, vb),
-                )
+                scale = row.scale + power.scale
+                if len(targets) == 1:  # the scalar rides inside the product
+                    coefs, out = targets[0]
+                    c = coefs[l]
+                    out.absorb(scale, _row_grid_mul(row.terms, c, power.terms, tmax, uweight, vb))
+                    continue
+                prod = _row_grid_mul(row.terms, 1, power.terms, tmax, uweight, vb)
+                for coefs, out in targets:
+                    c = coefs[l]
+                    out.absorb(scale, {k: m * c for k, m in prod.items()})
         if l == lmax:
             break
         power = ScaledGrid(
@@ -343,13 +351,15 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     ms = reduced_log_rows(p, n, _jmax_for(p, deg_cap))
 
     # [i](a) = sum_l E_l i^l (log a)^l, and the slab's x^m coefficient
-    # H_m(y) = sum_l E_(m+l) C(m+l, m) (log y)^l, in one pass over (log a)^l.
+    # H_m(y) = sum_l E_(m+l) C(m+l, m) (log y)^l, in one pass over (log a)^l;
+    # all the multiples i share one product E_l (log a)^l per power.
     multiples = [p] + list(range(2, p)) + [-k for k in range(1, p)]
     series = {i: ScaledGrid(p) for i in multiples}
     slab_h = [ScaledGrid(p) for _ in range(x_cap + 1)]
-    sums = [(0, [i**l for l in range(a_cap + 1)], a_cap, series[i]) for i in multiples]
+    powers_of_i = [([i**l for l in range(a_cap + 1)], series[i]) for i in multiples]
+    sums = [(0, a_cap, powers_of_i)]
     sums += [
-        (m, [comb(m + l, m) for l in range(a_cap + 1)], vbound, h)
+        (m, vbound, [([comb(m + l, m) for l in range(a_cap + 1)], h)])
         for m, h in enumerate(slab_h)
     ]
     log_a = _log_grid(ms, ulevels - 1, d, a_cap)

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--i-max",
         type=int,
         default=None,
-        help="largest multiplier in the table (default p^2 + 1)",
+        help="largest multiplier in the table, >= 0 (default p^2 + 1)",
     )
     return parser
 

@@ -11,17 +11,18 @@ compositional inverse, and the addition law is F(x,y) = exp(log x + log y),
 truncated at the configured formal degree cap.
 
 Every coefficient of F is certified p-integral at construction (the
-functional-equation construction guarantees this; a failure is a bug) and the
+functional-equation construction guarantees this; a failure is a bug), and so
+are the axioms unit, symmetry and associativity up to the cap: ``build_fgl``
+runs those checks once and the law keeps the rows it certified.  The
 structural congruences the rest of the pipeline relies on are *asserted at
-runtime* rather than assumed:
+runtime* rather than assumed, for 1 <= k <= n+1:
 
 * F(x,y) = x + y + u_k C_{p^k}(x,y)   mod (u_1,...,u_{k-1}) + (x,y)^(p^k + 1)
-* F(x,y) = x + y + C_{p^(n+1)}(x,y)   mod (u_1,...,u_n)     + (x,y)^(p^(n+1)+1)
 * [i](x) = i x + u_k gamma_{i,k} x^(p^k)   mod (p, u_1,...,u_{k-1}, x^(p^k+1))
-* [i](x) = i x + gamma_{i,n+1} x^(p^(n+1)) mod (p, u_1,...,u_n, x^(p^(n+1)+1))
 
-where C_q(x,y) = (x^q + y^q - (x+y)^q)/p and gamma_{i,k} = (i - i^(p^k))/p.
-Any coordinate passing these congruences supports everything downstream.
+where C_q(x,y) = (x^q + y^q - (x+y)^q)/p, gamma_{i,k} = (i - i^(p^k))/p, and
+the top case k = n+1 reads u_{n+1} = v_{n+1} = 1.  Any coordinate passing
+these congruences supports everything downstream.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ class FormalGroupLaw:
     ``addition`` has variables (x, y, u1..un); ``log_series`` and
     ``exp_series`` have variables (x, u1..un).  All invariants (unit,
     symmetry, associativity up to the cap, p-integrality) are checked by
-    :func:`build_fgl` before the instance is returned.
+    :func:`build_fgl` before the instance is returned; ``axiom_rows`` are the
+    passing unit, symmetry and associativity rows of that certification.
     """
 
     config: ChromaticConfig
@@ -154,6 +156,7 @@ class FormalGroupLaw:
     exp_series: MultiSeries
     addition: MultiSeries
     reduced_addition: MultiSeries
+    axiom_rows: tuple
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -179,7 +182,9 @@ def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
     """Construct the law and certify its invariants.
 
     Raises IntegralityFailure if any coefficient of the addition law fails to
-    be p-integral; with this construction that indicates a bug, not bad input.
+    be p-integral, or if an axiom check fails (the message names the axiom and
+    renders its defect); with this construction either indicates a bug, not
+    bad input.
     """
     p, n, D = config.p, config.n, config.formal_cap
     jmax = 0
@@ -205,52 +210,47 @@ def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
         lambda c: reduce_mod_p(c, p), PrimeFieldRing(p)
     )
 
-    law = FormalGroupLaw(
+    axiom_rows = tuple(fgl_axiom_checks(addition))
+    for row in axiom_rows:
+        if not row.ok:
+            raise IntegralityFailure(
+                f"formal group law axiom failed: {row.name}: {row.defect}"
+            )
+    return FormalGroupLaw(
         config=config,
         log_series=log_x,
         exp_series=exp_x,
         addition=addition,
         reduced_addition=reduced,
+        axiom_rows=axiom_rows,
     )
-    _assert_fgl_axioms(law)
-    return law
 
 
-def _assert_fgl_axioms(law: FormalGroupLaw):
-    for name, ok, _ in fgl_axiom_checks(law):
-        if not ok:
-            raise IntegralityFailure(f"formal group law axiom failed: {name}")
-
-
-def fgl_axiom_checks(law: FormalGroupLaw):
-    """Unit, symmetry and associativity checks; returns (name, ok, defect)."""
-    cfg = law.config
-    F = law.addition
-    fvars = F.variables
-    D = cfg.formal_cap
+def fgl_axiom_checks(F: MultiSeries) -> list:
+    """Unit, symmetry and associativity rows of an addition law F(x, y, u1..un)."""
+    fvars, D = F.variables, F.formal_cap
     x = MultiSeries.variable(QQ, fvars, "x", D, None)
     y = MultiSeries.variable(QQ, fvars, "y", D, None)
     zero = MultiSeries.zero(QQ, fvars, D, None)
 
-    results = []
-    unit_defect = F.compose({"x": x, "y": zero}) - x
-    results.append(("fgl_unit_x", unit_defect.is_zero(), unit_defect))
-    unit_defect_y = F.compose({"x": zero, "y": y}) - y
-    results.append(("fgl_unit_y", unit_defect_y.is_zero(), unit_defect_y))
+    def row(name: str, defect: MultiSeries) -> CheckRow:
+        ok = defect.is_zero()
+        return CheckRow(name, ok, defect="" if ok else defect.render())
 
     swapped = F.rename_variables({"x": "y", "y": "x"})
-    sym_defect = swapped.extend_variables(fvars) - F
-    results.append(("fgl_symmetry", sym_defect.is_zero(), sym_defect))
-
-    avars = ("x", "y", "z") + cfg.u_names
+    avars = ("x", "y", "z") + fvars[2:]
     xa = MultiSeries.variable(QQ, avars, "x", D, None)
     ya = MultiSeries.variable(QQ, avars, "y", D, None)
     za = MultiSeries.variable(QQ, avars, "z", D, None)
     fxy = F.compose({"x": xa, "y": ya})
     fyz = F.compose({"x": ya, "y": za})
-    assoc_defect = F.compose({"x": fxy, "y": za}) - F.compose({"x": xa, "y": fyz})
-    results.append(("fgl_associativity", assoc_defect.is_zero(), assoc_defect))
-    return results
+    return [
+        row("fgl_unit_x", F.compose({"x": x, "y": zero}) - x),
+        row("fgl_unit_y", F.compose({"x": zero, "y": y}) - y),
+        row("fgl_symmetry", swapped.extend_variables(fvars) - F),
+        row("fgl_associativity",
+            F.compose({"x": fxy, "y": za}) - F.compose({"x": xa, "y": fyz})),
+    ]
 
 
 def formal_inverse(F: FormalGroupLaw) -> MultiSeries:
@@ -316,13 +316,6 @@ class CongruenceReport:
         raise KeyError(name)
 
 
-def _mod_p_kill_u(series: MultiSeries, p: int, kill: list, x_keep: int) -> MultiSeries:
-    """Reduce mod p, set the named u-variables to zero, truncate x above x_keep."""
-    red = series.map_coefficients(lambda c: reduce_mod_p(c, p), PrimeFieldRing(p))
-    red = red.substitute_zero(kill)
-    return red.truncate_formal(x_keep)
-
-
 def ideal_text(kill_upto: int, extra: str = "", with_p: bool = False) -> str:
     """Human rendering of the working ideal, e.g. ``(p, u_1, u_2, x^10)``."""
     parts = (["p"] if with_p else []) + [f"u_{j}" for j in range(1, kill_upto + 1)]
@@ -331,20 +324,23 @@ def ideal_text(kill_upto: int, extra: str = "", with_p: bool = False) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
-    """Check every structural congruence of the constructed coordinate.
+def k_label(k: int, n: int) -> str:
+    """Row-name suffix of the congruence at k: ``k<k>``, or ``top`` at k = n+1."""
+    return "top" if k > n else f"k{k}"
 
-    For each 1 <= k <= n: the addition congruence against u_k C_{p^k} (an
-    exact identity over the rationals after killing u_1..u_{k-1} and
-    truncating at total degree p^k), plus the top-degree case.  For each
-    0 <= i <= p^2 + 1 and each k, the i-series congruence mod
-    (p, u_1..u_{k-1}, x^(p^k + 1)), and the top case modulo
-    (p, u_1,...,u_n, x^(p^(n+1)+1)) read with exponent n+1 in gamma.
+
+def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
+    """Report the axiom rows certified at construction and check every
+    structural congruence of the constructed coordinate, for 1 <= k <= n+1.
+
+    The addition congruence against u_k C_{p^k} is an exact identity over the
+    rationals after killing u_1..u_{k-1} and truncating at total degree p^k;
+    the i-series congruences for 0 <= i <= p^2 + 1 are
+    :func:`iseries_congruence`.  The top case k = n+1 reads u_{n+1} = 1.
     """
     cfg = F.config
     p, n = cfg.p, cfg.n
-    rows = [CheckRow(name, ok, defect="" if ok else d.render())
-            for name, ok, d in fgl_axiom_checks(F)]
+    rows = list(F.axiom_rows)
     rows.append(CheckRow("fgl_integrality", True, detail="certified at construction"))
 
     fvars = F.addition.variables
@@ -352,100 +348,72 @@ def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
     y = MultiSeries.variable(QQ, fvars, "y", cfg.formal_cap, None)
 
     # Addition congruences, exact over the rationals.
-    for k in range(1, n + 1):
+    for k in range(1, n + 2):
         kill = [f"u{j}" for j in range(1, k)]
         q = p**k
         keep_vars = tuple(v for v in fvars if v not in kill)
         lhs = F.addition.substitute_zero(kill).truncate_formal(q)
-        uk = MultiSeries.variable(QQ, keep_vars, f"u{k}", q, None)
+        if k <= n:
+            uk = MultiSeries.variable(QQ, keep_vars, f"u{k}", q, None)
+        else:
+            uk = MultiSeries.one(QQ, keep_vars, q, None)
         ck = c_poly(p, k).extend_variables(keep_vars)
         rhs = (x + y).substitute_zero(kill).truncate_formal(q) + uk * ck
         defect = lhs - rhs
         rows.append(
             CheckRow(
-                f"addition_congruence_k{k}",
+                f"addition_congruence_{k_label(k, n)}",
                 defect.is_zero(),
                 detail=f"modulo {ideal_text(k - 1)} + (x,y)^{q + 1}",
                 defect="" if defect.is_zero() else defect.render(),
             )
         )
 
-    qtop = p ** (n + 1)
-    kill_all = list(cfg.u_names)
-    lhs_top = F.addition.substitute_zero(kill_all).truncate_formal(qtop)
-    ctop = c_poly(p, n + 1).extend_variables(("x", "y"))
-    rhs_top = (x + y).substitute_zero(kill_all).truncate_formal(qtop) + ctop.truncate_formal(qtop)
-    defect_top = lhs_top - rhs_top
-    rows.append(
-        CheckRow(
-            "addition_congruence_top",
-            defect_top.is_zero(),
-            detail=f"modulo {ideal_text(n)} + (x,y)^{qtop + 1}",
-            defect="" if defect_top.is_zero() else defect_top.render(),
-        )
-    )
-
-    # i-series congruences mod p.
-    xvars = ("x",) + cfg.u_names
-    fp = PrimeFieldRing(p)
-    imax = p * p + 1
-    for i in range(imax + 1):
-        ser = i_series(F, i)
-        for k in range(1, n + 1):
-            kill = [f"u{j}" for j in range(1, k)]
-            q = p**k
-            got = _mod_p_kill_u(ser, p, kill, q)
-            keep_vars = tuple(v for v in xvars if v not in kill)
-            gk = reduce_mod_p(gamma(i, k, p), p)
-            expect_terms = {}
-            e_lin = tuple(1 if v == "x" else 0 for v in keep_vars)
-            if i % p:
-                expect_terms[e_lin] = fp.from_int(i)
-            e_top = tuple(
-                q if v == "x" else (1 if v == f"u{k}" else 0) for v in keep_vars
-            )
-            if gk.residue:
-                expect_terms[e_top] = gk
-            expect = MultiSeries(fp, keep_vars, q, None, expect_terms)
-            defect = got - expect
-            rows.append(
-                CheckRow(
-                    f"iseries_congruence_i{i}_k{k}",
-                    defect.is_zero(),
-                    detail=f"[{i}](x) = {i}x + u{k}*gamma({i},{k})*x^{q} "
-                    f"mod {ideal_text(k - 1, f'x^{q + 1}', with_p=True)}",
-                    defect="" if defect.is_zero() else defect.render(),
-                )
-            )
-        # Top case: gamma exponent read as n+1.
-        got = _mod_p_kill_u(ser, p, kill_all, qtop)
-        gtop = reduce_mod_p(gamma(i, n + 1, p), p)
-        expect_terms = {}
-        if i % p:
-            expect_terms[(1,)] = fp.from_int(i)
-        if gtop.residue:
-            expect_terms[(qtop,)] = gtop
-        expect = MultiSeries(fp, ("x",), qtop, None, expect_terms)
-        defect = got - expect
-        detail = (f"[{i}](x) = {i}x + gamma({i},{n+1})*x^{qtop} "
-                  f"mod {ideal_text(n, f'x^{qtop + 1}', with_p=True)}")
-        if not defect.is_zero():
-            # Diagnose whether some other exponent reading would have passed.
-            for alt in range(1, n + 1):
-                galt = reduce_mod_p(gamma(i, alt, p), p)
-                alt_terms = dict(expect_terms)
-                alt_terms.pop((qtop,), None)
-                if galt.residue:
-                    alt_terms[(qtop,)] = galt
-                if (got - MultiSeries(fp, ("x",), qtop, None, alt_terms)).is_zero():
-                    detail += f" [note: exponent reading k={alt} would pass]"
-                    break
-        rows.append(
-            CheckRow(
-                f"iseries_congruence_i{i}_top",
-                defect.is_zero(),
-                detail=detail,
-                defect="" if defect.is_zero() else defect.render(),
-            )
-        )
+    for i in range(p * p + 2):
+        rows.extend(iseries_congruence(F, i, k)[0] for k in range(1, n + 2))
     return CongruenceReport(rows)
+
+
+def iseries_congruence(F: FormalGroupLaw, i: int, k: int) -> tuple:
+    """Check [i](x) = i x + u_k gamma_{i,k} x^(p^k) mod (p, u_1..u_{k-1}, x^(p^k+1))
+    for 1 <= k <= n+1, reading u_{n+1} = 1 in the top case k = n+1.
+
+    Returns the check row and the residue of [i](x) that it compared.
+    """
+    cfg = F.config
+    p, n = cfg.p, cfg.n
+    q = p**k
+    red = i_series(F, i).map_coefficients(lambda c: reduce_mod_p(c, p), PrimeFieldRing(p))
+    got = red.substitute_zero([f"u{j}" for j in range(1, k)]).truncate_formal(q)
+    keep_vars, fp = got.variables, got.ring
+    expect_terms = {}
+    if i % p:
+        expect_terms[tuple(int(v == "x") for v in keep_vars)] = fp.from_int(i)
+    # u_{n+1} is not among keep_vars, so at k = n+1 this is the key of x^q.
+    e_top = tuple(q if v == "x" else int(v == f"u{k}") for v in keep_vars)
+    gk = reduce_mod_p(gamma(i, k, p), p)
+    if gk.residue:
+        expect_terms[e_top] = gk
+    defect = got - MultiSeries(fp, keep_vars, q, None, expect_terms)
+    ok = defect.is_zero()
+    uk = f"u{k}*" if k <= n else ""
+    detail = (f"[{i}](x) = {i}x + {uk}gamma({i},{k})*x^{q} "
+              f"mod {ideal_text(k - 1, f'x^{q + 1}', with_p=True)}")
+    if not ok and k > n:
+        # Diagnose whether some other exponent reading would have passed.
+        for alt in range(1, n + 1):
+            galt = reduce_mod_p(gamma(i, alt, p), p)
+            alt_terms = dict(expect_terms)
+            alt_terms.pop(e_top, None)
+            if galt.residue:
+                alt_terms[e_top] = galt
+            if (got - MultiSeries(fp, keep_vars, q, None, alt_terms)).is_zero():
+                detail += f" [note: exponent reading k={alt} would pass]"
+                break
+    row = CheckRow(
+        f"iseries_congruence_i{i}_{k_label(k, n)}",
+        ok,
+        detail=detail,
+        defect="" if ok else defect.render(),
+    )
+    return row, got

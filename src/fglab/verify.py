@@ -41,6 +41,9 @@ from .fgl import (
     ChromaticConfig,
     FormalGroupLaw,
     build_fgl,
+    ideal_text,
+    iseries_congruence,
+    k_label,
     verify_fgl_congruences,
 )
 from .isogeny import (
@@ -690,48 +693,28 @@ def run_pseries_command(
     u_prec: int = 32,
     force: bool = False,
 ) -> RunReport:
-    """Residue table of the multiplication series modulo each cited ideal."""
-    from .fgl import i_series, ideal_text
-    from .scalars import reduce_mod_p
-    from .series import PrimeFieldRing
-
+    """Residue table of the multiplication series modulo each cited ideal;
+    each row's status is the i-series congruence checked on that residue."""
     cfg = ChromaticConfig(p, n, u_precision=u_prec)
+    if i_max is None:
+        i_max = p * p + 1
+    if i_max < 0:
+        raise ValueError(f"--i-max must be >= 0, got {i_max}")
     guard_config(cfg, force)
     t_total = time.perf_counter()
     law = build_fgl(cfg)
-    congr = verify_fgl_congruences(law)
-    if i_max is None:
-        i_max = p * p + 1
     report = RunReport(config=_report_config(cfg, "pseries"))
-    fp = PrimeFieldRing(p)
     for i in range(i_max + 1):
-        ser = i_series(law, i)
-        red = ser.map_coefficients(lambda c: reduce_mod_p(c, p), fp)
-        for k in range(1, n + 1):
-            kill = [f"u{j}" for j in range(1, k)]
-            resid = red.substitute_zero(kill).truncate_formal(p**k)
-            try:
-                ok = congr.row(f"iseries_congruence_i{i}_k{k}").ok
-            except KeyError:
-                ok = True
+        for k in range(1, n + 2):
+            check, resid = iseries_congruence(law, i, k)
+            ideal = ideal_text(k - 1, f"x^{p ** k + 1}", with_p=True)
             report.add(
                 _row(
-                    f"pseries_row_i{i}_k{k}",
-                    ok,
-                    detail=f"[{i}](x) = {resid.render()} mod {ideal_text(k - 1, f'x^{p ** k + 1}', with_p=True)}",
+                    f"pseries_row_i{i}_{k_label(k, n)}",
+                    check.ok,
+                    detail=f"[{i}](x) = {resid.render()} mod {ideal}",
+                    defect=check.defect,
                 )
             )
-        resid = red.substitute_zero(list(cfg.u_names)).truncate_formal(p ** (n + 1))
-        try:
-            ok = congr.row(f"iseries_congruence_i{i}_top").ok
-        except KeyError:
-            ok = True
-        report.add(
-            _row(
-                f"pseries_row_i{i}_top",
-                ok,
-                detail=f"[{i}](x) = {resid.render()} mod {ideal_text(n, f'x^{p ** (n + 1) + 1}', with_p=True)}",
-            )
-        )
     report.timing = {"total_ms": int((time.perf_counter() - t_total) * 1000)}
     return report

@@ -1,11 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 from fglab.cli import main
 from fglab.report import comparable_bytes
 from fglab.schema import validate_report
 from fglab.verify import parse_useries, run_descent_command, run_verify
 from fglab.scalars import USeries
+from fglab.series import MultiSeries
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "goldens")
 
@@ -136,3 +138,29 @@ class TestGoldens:
         assert "= x mod" in rows["pseries_row_i1_k1"]["detail"]
         # row i=p, k=n shows u * x^(p^n)
         assert "x^2*u1" in rows["pseries_row_i2_k1"]["detail"].replace(" ", "")
+
+    def test_pseries_checks_rows_beyond_verify_range(self, capsys, monkeypatch):
+        """[7](x) lies past the p^2 + 1 = 5 multiples that verify checks at
+        (2,1); a wrong [7](x) must still fail its pseries rows."""
+        import fglab.fgl
+
+        real = fglab.fgl.i_series
+
+        def wrong_seven(F, i):
+            s = real(F, i)
+            if i != 7:
+                return s
+            x2 = MultiSeries(s.ring, s.variables, s.formal_cap, s.u_cap, {(2, 0): Fraction(1)})
+            return s + x2  # adds x^2 with no u factor
+
+        monkeypatch.setattr(fglab.fgl, "i_series", wrong_seven)
+        assert main(["pseries", "--p", "2", "--n", "1", "--i-max", "7"]) == 1
+        rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert rows["pseries_row_i7_k1"]["status"] == "fail"
+        assert rows["pseries_row_i7_top"]["status"] == "fail"
+        assert rows["pseries_row_i6_k1"]["status"] == "pass"
+        assert rows["pseries_row_i6_top"]["status"] == "pass"
+
+    def test_pseries_negative_i_max_is_usage_error(self, capsys):
+        assert main(["pseries", "--p", "2", "--n", "1", "--i-max", "-1"]) == 2
+        assert "--i-max" in capsys.readouterr().err

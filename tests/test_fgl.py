@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import fglab.fgl
+from fglab.errors import IntegralityFailure
 from fglab.fgl import (
+    CheckRow,
     ChromaticConfig,
     build_fgl,
     c_poly,
@@ -82,16 +85,16 @@ class TestGamma:
 
 
 class TestBuildFgl:
-    def test_leading_congruence_21(self):
-        F = build_fgl(ChromaticConfig(2, 1))
+    def test_leading_congruence_21(self, pipeline):
+        F = pipeline(2, 1).law
         # F = x + y + u1 * C_2(x,y) modulo (x,y)^3 with C_2 = -xy
         assert F.addition.coefficient(x=1) == 1
         assert F.addition.coefficient(y=1) == 1
         assert F.addition.coefficient(x=1, y=1, u1=1) == Fraction(-1)
 
-    def test_top_congruence_mod_all_u(self):
-        cfg = ChromaticConfig(2, 1)
-        F = build_fgl(cfg)
+    def test_top_congruence_mod_all_u(self, pipeline):
+        F = pipeline(2, 1).law
+        cfg = F.config
         killed = F.addition.substitute_zero(cfg.u_names).truncate_formal(3)
         # just x + y survives below degree p^(n+1)
         want = MultiSeries(
@@ -99,16 +102,16 @@ class TestBuildFgl:
         )
         assert killed == want
 
-    def test_integrality_certified(self):
-        F = build_fgl(ChromaticConfig(3, 1))
+    def test_integrality_certified(self, pipeline):
+        F = pipeline(3, 1).law
         for c in F.addition.terms.values():
             assert c.denominator % 3 != 0
 
 
 class TestFormalInverse:
-    def test_inverse_props(self):
-        cfg = ChromaticConfig(2, 1)
-        F = build_fgl(cfg)
+    def test_inverse_props(self, pipeline):
+        F = pipeline(2, 1).law
+        cfg = F.config
         iota = formal_inverse(F)
         assert iota.constant_term() == 0
         assert iota.coefficient(x=1) == Fraction(-1)
@@ -119,22 +122,22 @@ class TestFormalInverse:
 
 
 class TestISeries:
-    def test_one_is_x(self):
-        F = build_fgl(ChromaticConfig(2, 1))
+    def test_one_is_x(self, pipeline):
+        F = pipeline(2, 1).law
         s = i_series(F, 1)
         assert s.terms == {(1, 0): Fraction(1)}
 
-    def test_two_series_congruence_21(self):
-        F = build_fgl(ChromaticConfig(2, 1))
+    def test_two_series_congruence_21(self, pipeline):
+        F = pipeline(2, 1).law
         s = i_series(F, 2)
         # [2](x) = 2x + u1*gamma(2,1)*x^2 mod (2, x^3); gamma(2,1) = -1 = 1 mod 2
         assert reduce_mod_p(s.coefficient(x=2, u1=1), 2).residue == 1
         assert s.coefficient(x=1) == 2
 
-    def test_addition_of_multiples_oracle(self):
+    def test_addition_of_multiples_oracle(self, pipeline):
         # oracle: independent recomputation of [i + j] via the recursion from
         # both sides must agree with F([i], [j])
-        F = build_fgl(ChromaticConfig(2, 1))
+        F = pipeline(2, 1).law
         rng = random.Random(3)
         for _ in range(6):
             i, j = rng.randint(-3, 3), rng.randint(0, 3)
@@ -142,16 +145,16 @@ class TestISeries:
             rhs = F.addition.compose({"x": i_series(F, i), "y": i_series(F, j)})
             assert lhs == rhs
 
-    def test_composition_multiplicativity(self):
-        F = build_fgl(ChromaticConfig(2, 1))
+    def test_composition_multiplicativity(self, pipeline):
+        F = pipeline(2, 1).law
         for (i, j) in [(2, 2), (2, 3), (-1, 2)]:
             lhs = i_series(F, i).compose({"x": i_series(F, j)})
             assert lhs == i_series(F, i * j)
 
 
 class TestCongruenceReport:
-    def test_all_pass_21(self):
-        F = build_fgl(ChromaticConfig(2, 1))
+    def test_all_pass_21(self, pipeline):
+        F = pipeline(2, 1).law
         rep = verify_fgl_congruences(F)
         assert rep.all_ok
         names = [r.name for r in rep.rows]
@@ -163,3 +166,33 @@ class TestCongruenceReport:
         assert rep.row("iseries_congruence_i1_k1").ok
         # top case present: [p] = x^(p^(n+1)) mod (p, u, x^top)
         assert rep.row(f"iseries_congruence_i2_top").ok
+
+
+class TestCertifiedOnce:
+    def test_axiom_checks_run_once_per_law(self, monkeypatch):
+        calls = []
+        real = fglab.fgl.fgl_axiom_checks
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(fglab.fgl, "fgl_axiom_checks", counting)
+        F = build_fgl(ChromaticConfig(2, 1))
+        rep = verify_fgl_congruences(F)
+        assert len(calls) == 1
+        assert [r.name for r in rep.rows[:4]] == [
+            "fgl_unit_x", "fgl_unit_y", "fgl_symmetry", "fgl_associativity",
+        ]
+        assert all(r.ok for r in rep.rows[:4])
+
+    def test_failed_axiom_refuses_construction(self, monkeypatch):
+        def failing(*args):
+            return [
+                CheckRow("fgl_unit_x", True),
+                CheckRow("fgl_symmetry", False, defect="x^2*y"),
+            ]
+
+        monkeypatch.setattr(fglab.fgl, "fgl_axiom_checks", failing)
+        with pytest.raises(IntegralityFailure, match=r"fgl_symmetry: x\^2\*y"):
+            build_fgl(ChromaticConfig(2, 1))
