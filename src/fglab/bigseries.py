@@ -294,11 +294,6 @@ def _power_pass(
             if l + offset < len(exp_rows):
                 row = exp_rows[l + offset]
                 scale = row.scale + power.scale
-                if len(targets) == 1:  # the scalar rides inside the product
-                    coefs, out = targets[0]
-                    c = coefs[l]
-                    out.absorb(scale, _row_grid_mul(row.terms, c, power.terms, tmax, uweight, vb))
-                    continue
                 prod = _row_grid_mul(row.terms, 1, power.terms, tmax, uweight, vb)
                 for coefs, out in targets:
                     c = coefs[l]

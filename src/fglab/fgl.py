@@ -148,7 +148,8 @@ class FormalGroupLaw:
     ``exp_series`` have variables (x, u1..un).  All invariants (unit,
     symmetry, associativity up to the cap, p-integrality) are checked by
     :func:`build_fgl` before the instance is returned; ``axiom_rows`` are the
-    passing unit, symmetry and associativity rows of that certification.
+    passing unit, symmetry and associativity rows of that certification,
+    derived data that takes no part in equality or hashing.
     """
 
     config: ChromaticConfig
@@ -156,7 +157,7 @@ class FormalGroupLaw:
     exp_series: MultiSeries
     addition: MultiSeries
     reduced_addition: MultiSeries
-    axiom_rows: tuple
+    axiom_rows: tuple = field(compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 

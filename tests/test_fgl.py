@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -196,3 +197,9 @@ class TestCertifiedOnce:
         monkeypatch.setattr(fglab.fgl, "fgl_axiom_checks", failing)
         with pytest.raises(IntegralityFailure, match=r"fgl_symmetry: x\^2\*y"):
             build_fgl(ChromaticConfig(2, 1))
+
+    def test_axiom_rows_stay_out_of_hash_and_equality(self, pipeline):
+        F = pipeline(2, 1).law
+        G = dataclasses.replace(F, axiom_rows=())
+        assert G == F
+        assert hash(G) == hash(F)
