@@ -101,7 +101,7 @@ def c_poly(p: int, m: int) -> MultiSeries:
         if 0 < i < q:
             terms[(q - i, i)] = Fraction(-binom, p)
         binom = binom * (q - i) // (i + 1)
-    return MultiSeries(QQ, variables, q, None, terms)
+    return MultiSeries(QQ, variables, q, terms)
 
 
 def gamma(i: int, k: int, p: int) -> Fraction:
@@ -119,12 +119,12 @@ def hazewinkel_coefficients(cfg: ChromaticConfig, jmax: int) -> list[MultiSeries
     uvars = cfg.u_names
 
     def upoly(terms):
-        return MultiSeries(QQ, uvars, 0, None, terms)
+        return MultiSeries(QQ, uvars, 0, terms)
 
     zero_exp = (0,) * n
     ms = [upoly({zero_exp: Fraction(1)})]
     for j in range(1, jmax + 1):
-        acc = MultiSeries.zero(QQ, uvars, 0, None)
+        acc = MultiSeries.zero(QQ, uvars, 0)
         for i in range(j):
             k = j - i
             if k <= n:
@@ -164,7 +164,7 @@ class FormalGroupLaw:
 def _embed_log(ms_list, cfg: ChromaticConfig, varname: str, variables) -> MultiSeries:
     """log(v) = sum_j m_j v^(p^j) over the given variable list."""
     D = cfg.formal_cap
-    out = MultiSeries.zero(QQ, variables, D, None)
+    terms = {}
     pos = {v: i for i, v in enumerate(variables)}
     for j, mj in enumerate(ms_list):
         deg = cfg.p**j
@@ -175,8 +175,8 @@ def _embed_log(ms_list, cfg: ChromaticConfig, varname: str, variables) -> MultiS
             e[pos[varname]] = deg
             for uk, ev in zip(cfg.u_names, ue):
                 e[pos[uk]] = ev
-            out = out + MultiSeries(QQ, variables, D, None, {tuple(e): c})
-    return out
+            terms[tuple(e)] = c
+    return MultiSeries(QQ, variables, D, terms)
 
 
 def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
@@ -230,9 +230,9 @@ def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
 def fgl_axiom_checks(F: MultiSeries) -> list:
     """Unit, symmetry and associativity rows of an addition law F(x, y, u1..un)."""
     fvars, D = F.variables, F.formal_cap
-    x = MultiSeries.variable(QQ, fvars, "x", D, None)
-    y = MultiSeries.variable(QQ, fvars, "y", D, None)
-    zero = MultiSeries.zero(QQ, fvars, D, None)
+    x = MultiSeries.variable(QQ, fvars, "x", D)
+    y = MultiSeries.variable(QQ, fvars, "y", D)
+    zero = MultiSeries.zero(QQ, fvars, D)
 
     def row(name: str, defect: MultiSeries) -> CheckRow:
         ok = defect.is_zero()
@@ -240,9 +240,9 @@ def fgl_axiom_checks(F: MultiSeries) -> list:
 
     swapped = F.rename_variables({"x": "y", "y": "x"})
     avars = ("x", "y", "z") + fvars[2:]
-    xa = MultiSeries.variable(QQ, avars, "x", D, None)
-    ya = MultiSeries.variable(QQ, avars, "y", D, None)
-    za = MultiSeries.variable(QQ, avars, "z", D, None)
+    xa = MultiSeries.variable(QQ, avars, "x", D)
+    ya = MultiSeries.variable(QQ, avars, "y", D)
+    za = MultiSeries.variable(QQ, avars, "z", D)
     fxy = F.compose({"x": xa, "y": ya})
     fyz = F.compose({"x": ya, "y": za})
     return [
@@ -272,12 +272,12 @@ def i_series(F: FormalGroupLaw, i: int) -> MultiSeries:
     cfg = F.config
     xvars = ("x",) + cfg.u_names
     if i == 0:
-        out = MultiSeries.zero(QQ, xvars, cfg.formal_cap, None)
+        out = MultiSeries.zero(QQ, xvars, cfg.formal_cap)
     elif i == 1:
-        out = MultiSeries.variable(QQ, xvars, "x", cfg.formal_cap, None)
+        out = MultiSeries.variable(QQ, xvars, "x", cfg.formal_cap)
     elif i > 1:
         prev = i_series(F, i - 1)
-        x = MultiSeries.variable(QQ, xvars, "x", cfg.formal_cap, None)
+        x = MultiSeries.variable(QQ, xvars, "x", cfg.formal_cap)
         out = F.addition.compose({"x": prev, "y": x})
     else:
         out = formal_inverse(F).compose({"x": i_series(F, -i)})
@@ -345,8 +345,8 @@ def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
     rows.append(CheckRow("fgl_integrality", True, detail="certified at construction"))
 
     fvars = F.addition.variables
-    x = MultiSeries.variable(QQ, fvars, "x", cfg.formal_cap, None)
-    y = MultiSeries.variable(QQ, fvars, "y", cfg.formal_cap, None)
+    x = MultiSeries.variable(QQ, fvars, "x", cfg.formal_cap)
+    y = MultiSeries.variable(QQ, fvars, "y", cfg.formal_cap)
 
     # Addition congruences, exact over the rationals.
     for k in range(1, n + 2):
@@ -355,9 +355,9 @@ def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
         keep_vars = tuple(v for v in fvars if v not in kill)
         lhs = F.addition.substitute_zero(kill).truncate_formal(q)
         if k <= n:
-            uk = MultiSeries.variable(QQ, keep_vars, f"u{k}", q, None)
+            uk = MultiSeries.variable(QQ, keep_vars, f"u{k}", q)
         else:
-            uk = MultiSeries.one(QQ, keep_vars, q, None)
+            uk = MultiSeries.one(QQ, keep_vars, q)
         ck = c_poly(p, k).extend_variables(keep_vars)
         rhs = (x + y).substitute_zero(kill).truncate_formal(q) + uk * ck
         defect = lhs - rhs
@@ -395,7 +395,7 @@ def iseries_congruence(F: FormalGroupLaw, i: int, k: int) -> tuple:
     gk = reduce_mod_p(gamma(i, k, p), p)
     if gk.residue:
         expect_terms[e_top] = gk
-    defect = got - MultiSeries(fp, keep_vars, q, None, expect_terms)
+    defect = got - MultiSeries(fp, keep_vars, q, expect_terms)
     ok = defect.is_zero()
     uk = f"u{k}*" if k <= n else ""
     detail = (f"[{i}](x) = {i}x + {uk}gamma({i},{k})*x^{q} "
@@ -408,7 +408,7 @@ def iseries_congruence(F: FormalGroupLaw, i: int, k: int) -> tuple:
             alt_terms.pop(e_top, None)
             if galt.residue:
                 alt_terms[e_top] = galt
-            if (got - MultiSeries(fp, keep_vars, q, None, alt_terms)).is_zero():
+            if (got - MultiSeries(fp, keep_vars, q, alt_terms)).is_zero():
                 detail += f" [note: exponent reading k={alt} would pass]"
                 break
     row = CheckRow(

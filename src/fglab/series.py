@@ -1,19 +1,15 @@
 """Truncated multivariate polynomial/series arithmetic over an exact scalar ring.
 
 A :class:`MultiSeries` stores a sparse map from exponent tuples to scalars.
-Variables split into two degree-accounting groups:
-
-* formal variables (named among ``x y z a``), truncated by *total* formal
-  degree: a cap of D keeps terms of total formal degree <= D, i.e. the series
-  is an element of R[[formal vars]] / (formal vars)^(D+1);
-
-* u-variables (any other name, conventionally ``u1..un`` or ``u``), truncated
-  by total u-degree *strictly below* ``u_cap`` (so ``u_cap = M`` means "modulo
-  u^M"), or unbounded when ``u_cap`` is None.
+Variables named among ``x y z a`` are formal; a series keeps only the terms of
+total formal degree <= ``formal_cap``, i.e. it is an element of
+R[[formal vars]] / (formal vars)^(cap+1).  Every other variable (conventionally
+``u1..un`` or ``u``) is a coefficient variable and is never truncated.
 
 Truncation is applied eagerly after every arithmetic step; since all
-downstream claims are congruences modulo the caps, correctness is unaffected
-and intermediate sizes stay bounded.
+downstream claims are congruences modulo the cap, correctness is unaffected
+and intermediate sizes stay bounded.  The product never forms a pair whose
+formal degrees sum past the cap.
 
 The scalar ring is pluggable: anything with ``zero``, ``one``, ``from_int``,
 ``is_zero`` and ``inv`` works, with scalar values combined through their own
@@ -22,7 +18,9 @@ operators.  Adapters for the exact rationals and F_p live here.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .errors import (
     NonUnitLinearCoefficient,
@@ -97,58 +95,45 @@ class PrimeFieldRing:
 class MultiSeries:
     """Sparse truncated series; immutable, safe to share."""
 
-    __slots__ = ("ring", "variables", "formal_cap", "u_cap", "terms", "_formal_idx")
+    __slots__ = ("ring", "variables", "formal_cap", "terms", "_formal_idx")
 
-    def __init__(self, ring, variables, formal_cap, u_cap, terms):
+    def __init__(self, ring, variables, formal_cap, terms):
         self.ring = ring
         self.variables = tuple(variables)
         self.formal_cap = formal_cap
-        self.u_cap = u_cap
         self._formal_idx = tuple(
             i for i, v in enumerate(self.variables) if v in FORMAL_NAMES
         )
         self.terms = {
             e: c
             for e, c in terms.items()
-            if not ring.is_zero(c) and self._keep(e)
+            if not ring.is_zero(c) and self.formal_degree(e) <= formal_cap
         }
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, variables, formal_cap, u_cap=None) -> "MultiSeries":
-        return cls(ring, variables, formal_cap, u_cap, {})
+    def zero(cls, ring, variables, formal_cap) -> "MultiSeries":
+        return cls(ring, variables, formal_cap, {})
 
     @classmethod
-    def constant(cls, ring, c, variables, formal_cap, u_cap=None) -> "MultiSeries":
+    def constant(cls, ring, c, variables, formal_cap) -> "MultiSeries":
         e = (0,) * len(tuple(variables))
-        return cls(ring, variables, formal_cap, u_cap, {e: c})
+        return cls(ring, variables, formal_cap, {e: c})
 
     @classmethod
-    def one(cls, ring, variables, formal_cap, u_cap=None) -> "MultiSeries":
-        return cls.constant(ring, ring.one, variables, formal_cap, u_cap)
+    def one(cls, ring, variables, formal_cap) -> "MultiSeries":
+        return cls.constant(ring, ring.one, variables, formal_cap)
 
     @classmethod
-    def variable(cls, ring, variables, name, formal_cap, u_cap=None) -> "MultiSeries":
+    def variable(cls, ring, variables, name, formal_cap) -> "MultiSeries":
         variables = tuple(variables)
         e = [0] * len(variables)
         e[variables.index(name)] = 1
-        return cls(ring, variables, formal_cap, u_cap, {tuple(e): ring.one})
+        return cls(ring, variables, formal_cap, {tuple(e): ring.one})
 
     def _wrap(self, terms) -> "MultiSeries":
-        return MultiSeries(self.ring, self.variables, self.formal_cap, self.u_cap, terms)
-
-    # -- truncation --------------------------------------------------------
-
-    def _keep(self, exps) -> bool:
-        fdeg = sum(exps[i] for i in self._formal_idx)
-        if fdeg > self.formal_cap:
-            return False
-        if self.u_cap is not None:
-            udeg = sum(exps) - fdeg
-            if udeg >= self.u_cap:
-                return False
-        return True
+        return MultiSeries(self.ring, self.variables, self.formal_cap, terms)
 
     def formal_degree(self, exps) -> int:
         return sum(exps[i] for i in self._formal_idx)
@@ -159,12 +144,11 @@ class MultiSeries:
         if (
             self.variables != other.variables
             or self.formal_cap != other.formal_cap
-            or self.u_cap != other.u_cap
             or self.ring != other.ring
         ):
             raise VariableMismatch(
-                f"incompatible series: {self.variables}/{self.formal_cap}/{self.u_cap}"
-                f" vs {other.variables}/{other.formal_cap}/{other.u_cap}"
+                f"incompatible series: {self.variables}/{self.formal_cap}"
+                f" vs {other.variables}/{other.formal_cap}"
             )
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
@@ -185,12 +169,15 @@ class MultiSeries:
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
         self._check_compatible(other)
+        deg = self.formal_degree
+        right = sorted(((deg(e), e, c) for e, c in other.terms.items()), key=itemgetter(0))
+        right_degs = [d for d, _, _ in right]
         out: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not self._keep(e):
-                    continue
+            # Pairs past the remaining room would be truncated away: skip them.
+            stop = bisect_right(right_degs, self.formal_cap - deg(e1))
+            for _, e2, c2 in right[:stop]:
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 if e in out:
                     out[e] = out[e] + c
@@ -201,7 +188,7 @@ class MultiSeries:
     def __pow__(self, n: int) -> "MultiSeries":
         if n < 0:
             raise ValueError("negative power")
-        result = MultiSeries.one(self.ring, self.variables, self.formal_cap, self.u_cap)
+        result = MultiSeries.one(self.ring, self.variables, self.formal_cap)
         base = self
         while n:
             if n & 1:
@@ -222,7 +209,6 @@ class MultiSeries:
         return (
             self.variables == other.variables
             and self.formal_cap == other.formal_cap
-            and self.u_cap == other.u_cap
             and self.terms == other.terms
         )
 
@@ -249,47 +235,53 @@ class MultiSeries:
         pass through and must exist in the target.  Every substituted series
         must have zero constant term, otherwise the truncated composition
         would not be well defined.
+
+        Terms that share their substituted exponents are summed into one
+        coefficient series first, so each product of powers is formed once
+        per exponent pattern; each power s^e is built once, as s^(e-1)*s.
         """
         if substitutions:
             target = next(iter(substitutions.values()))
         else:
             target = self
-        t_vars, t_fcap, t_ucap = target.variables, target.formal_cap, target.u_cap
+        t_vars, t_fcap = target.variables, target.formal_cap
         for name, s in substitutions.items():
             if name not in self.variables or name not in FORMAL_NAMES:
                 raise VariableMismatch(f"{name} is not a formal variable of this series")
-            if (s.variables, s.formal_cap, s.u_cap) != (t_vars, t_fcap, t_ucap):
+            if (s.variables, s.formal_cap) != (t_vars, t_fcap):
                 raise VariableMismatch("substituted series disagree on variables/caps")
             if not self.ring.is_zero(s.constant_term()):
                 raise NonzeroConstantTerm(f"substitution for {name} has a constant term")
 
-        def passthrough(name: str) -> MultiSeries:
-            if name not in t_vars:
-                raise VariableMismatch(f"variable {name} missing from target variables")
-            return MultiSeries.variable(self.ring, t_vars, name, t_fcap, t_ucap)
-
-        base = {}
-        for name in self.variables:
-            base[name] = substitutions.get(name)
-
-        power_cache: dict = {}
-
-        def var_power(name: str, e: int) -> MultiSeries:
-            key = (name, e)
-            if key not in power_cache:
-                s = base[name] if base[name] is not None else passthrough(name)
-                power_cache[key] = s**e
-            return power_cache[key]
-
-        out = MultiSeries.zero(self.ring, t_vars, t_fcap, t_ucap)
-        one = MultiSeries.one(self.ring, t_vars, t_fcap, t_ucap)
+        pos = {v: i for i, v in enumerate(t_vars)}
+        subs = [name for name in self.variables if name in substitutions]
+        # Substituted exponents -> {starting monomial over t_vars: scalar}.
+        groups: dict = {}
         for exps, c in self.terms.items():
-            term = one.scale(c)
+            key = []
+            start = [0] * len(t_vars)
             for name, e in zip(self.variables, exps):
+                if name in substitutions:
+                    key.append(e)
+                elif e:
+                    if name not in pos:
+                        raise VariableMismatch(f"variable {name} missing from target variables")
+                    start[pos[name]] = e
+            groups.setdefault(tuple(key), {})[tuple(start)] = c
+
+        powers = {name: [s] for name, s in substitutions.items()}  # s^1, s^2, ...
+        out: dict = {}
+        for key, coeffs in groups.items():
+            term = MultiSeries(self.ring, t_vars, t_fcap, coeffs)
+            for name, e in zip(subs, key):
                 if e:
-                    term = term * var_power(name, e)
-            out = out + term
-        return out
+                    row = powers[name]
+                    while len(row) < e:
+                        row.append(row[-1] * row[0])
+                    term = term * row[e - 1]
+            for e, c in term.terms.items():
+                out[e] = out[e] + c if e in out else c
+        return MultiSeries(self.ring, t_vars, t_fcap, out)
 
     def substitute_zero(self, names) -> "MultiSeries":
         """Set the named variables to zero (dropping their terms and the
@@ -307,7 +299,6 @@ class MultiSeries:
             self.ring,
             tuple(self.variables[i] for i in keep),
             self.formal_cap,
-            self.u_cap,
             out,
         )
 
@@ -315,7 +306,7 @@ class MultiSeries:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(new_vars)) != len(new_vars):
             raise VariableMismatch("renaming collides variable names")
-        return MultiSeries(self.ring, new_vars, self.formal_cap, self.u_cap, self.terms)
+        return MultiSeries(self.ring, new_vars, self.formal_cap, self.terms)
 
     def extend_variables(self, variables) -> "MultiSeries":
         """Reinterpret over a larger variable list (new variables exponent 0)."""
@@ -327,11 +318,11 @@ class MultiSeries:
             for v, ev in zip(self.variables, e):
                 ne[pos[v]] = ev
             out[tuple(ne)] = c
-        return MultiSeries(self.ring, variables, self.formal_cap, self.u_cap, out)
+        return MultiSeries(self.ring, variables, self.formal_cap, out)
 
     def truncate_formal(self, cap: int) -> "MultiSeries":
         """Tighten the formal cap (drops terms of higher total formal degree)."""
-        return MultiSeries(self.ring, self.variables, cap, self.u_cap, self.terms)
+        return MultiSeries(self.ring, self.variables, cap, self.terms)
 
     def formal_slice(self, degree: int) -> "MultiSeries":
         """The homogeneous part of the given total formal degree."""
@@ -345,7 +336,7 @@ class MultiSeries:
             nc = fn(c)
             if not ring.is_zero(nc):
                 out[e] = nc
-        return MultiSeries(ring, self.variables, self.formal_cap, self.u_cap, out)
+        return MultiSeries(ring, self.variables, self.formal_cap, out)
 
     # -- reversion -------------------------------------------------------------
 
@@ -385,7 +376,7 @@ class MultiSeries:
         except ZeroDivisionError:
             raise NonUnitLinearCoefficient("linear coefficient is zero") from None
 
-        x = MultiSeries.variable(self.ring, self.variables, var, self.formal_cap, self.u_cap)
+        x = MultiSeries.variable(self.ring, self.variables, var, self.formal_cap)
         r = x.scale(lin_inv)
         for degree in range(2, self.formal_cap + 1):
             defect = self.compose({var: r}) - x
@@ -429,9 +420,9 @@ class MultiSeries:
         return [[list(e), str(c)] for e, c in self.canonical_terms()]
 
     @classmethod
-    def from_payload(cls, ring, variables, formal_cap, u_cap, payload, parse_scalar):
+    def from_payload(cls, ring, variables, formal_cap, payload, parse_scalar):
         terms = {tuple(e): parse_scalar(s) for e, s in payload}
-        return cls(ring, variables, formal_cap, u_cap, terms)
+        return cls(ring, variables, formal_cap, terms)
 
     def __repr__(self):
         return f"MultiSeries({self.render()})"

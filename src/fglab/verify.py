@@ -58,9 +58,9 @@ from .isogeny import (
 from .report import RunReport, trace_payload
 from .scalars import USeries
 
-# Size estimates: (2,1) ~200, (2,2) ~750, (3,1) ~1600 run in seconds;
-# (2,3) ~2900 takes minutes and needs --force; (3,2)/(5,1) and beyond are
-# refused outright at desk scale.
+# Size estimates: (2,1) ~200, (2,2) ~750, (3,1) ~1600 run in seconds.
+# (2,3) ~2900, (3,2) ~14100 and (5,1) ~17200 need --force, though each ran
+# in under 10 s on a 2-vCPU host; the estimate is a formula guess, not a fit.
 GUARD_LIMIT = 2500
 
 

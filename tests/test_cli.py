@@ -150,7 +150,7 @@ class TestGoldens:
             s = real(F, i)
             if i != 7:
                 return s
-            x2 = MultiSeries(s.ring, s.variables, s.formal_cap, s.u_cap, {(2, 0): Fraction(1)})
+            x2 = MultiSeries(s.ring, s.variables, s.formal_cap, {(2, 0): Fraction(1)})
             return s + x2  # adds x^2 with no u factor
 
         monkeypatch.setattr(fglab.fgl, "i_series", wrong_seven)

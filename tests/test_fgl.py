@@ -99,7 +99,7 @@ class TestBuildFgl:
         killed = F.addition.substitute_zero(cfg.u_names).truncate_formal(3)
         # just x + y survives below degree p^(n+1)
         want = MultiSeries(
-            QQ, ("x", "y"), 3, None, {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+            QQ, ("x", "y"), 3, {(1, 0): Fraction(1), (0, 1): Fraction(1)}
         )
         assert killed == want
 

@@ -17,6 +17,47 @@ def xy(name, cap=6):
     return MultiSeries.variable(QQ, ("x", "y"), name, cap)
 
 
+XYU = ("x", "y", "u1", "u2")
+
+
+def rand_xyu(rng, cap, n_terms=8, constant=True):
+    """A random series over (x, y, u1, u2): formal exponents up to the cap, so
+    that many products land at the cap or just past it, and large u-exponents,
+    which are never truncated."""
+    terms = {}
+    for _ in range(n_terms):
+        e = (rng.randint(0, cap), rng.randint(0, cap), rng.randint(0, 40), rng.randint(0, 40))
+        terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if not constant:
+        terms.pop((0, 0, 0, 0), None)
+        terms[(1, 0, 0, 0)] = Fraction(rng.choice([1, -1, 2]))
+    return MultiSeries(QQ, XYU, cap, terms)
+
+
+def naive_mul(a, b):
+    """Every pair of terms, truncated afterwards by the constructor."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiSeries(a.ring, a.variables, a.formal_cap, out)
+
+
+def naive_compose(f, subs):
+    """Term by term: c * s^i * t^j * (monomial of the variables kept), with *."""
+    out = MultiSeries.zero(QQ, XYU, f.formal_cap)
+    for e, c in f.terms.items():
+        kept = tuple(0 if v in subs else ev for v, ev in zip(f.variables, e))
+        term = MultiSeries(QQ, XYU, f.formal_cap, {kept: c})
+        for v, ev in zip(f.variables, e):
+            if v in subs:
+                for _ in range(ev):
+                    term = term * subs[v]
+        out = out + term
+    return out
+
+
 class TestMul:
     def test_difference_of_squares(self):
         x, y = xy("x"), xy("y")
@@ -46,11 +87,22 @@ class TestMul:
             for _ in range(5):
                 e = (rng.randint(0, 3), rng.randint(0, 3))
                 terms[e] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            return MultiSeries(QQ, vars_, cap, None, terms)
+            return MultiSeries(QQ, vars_, cap, terms)
+        at_cap = past_cap = 0
         for _ in range(25):
-            a, b, c = rand_series(), rand_series(), rand_series()
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
+            for a, b, c in [
+                (rand_series(), rand_series(), rand_series()),
+                (rand_xyu(rng, 3), rand_xyu(rng, 3), rand_xyu(rng, 3)),
+            ]:
+                assert a * b == b * a
+                assert (a * b) * c == a * (b * c)
+                assert a * b == naive_mul(a, b)
+                for e1 in a.terms:
+                    for e2 in b.terms:
+                        d = a.formal_degree(e1) + a.formal_degree(e2)
+                        at_cap += d == a.formal_cap
+                        past_cap += d == a.formal_cap + 1
+        assert at_cap > 100 and past_cap > 100
 
 
 class TestCompose:
@@ -75,6 +127,24 @@ class TestCompose:
         with pytest.raises(NonzeroConstantTerm):
             x.compose({"x": MultiSeries.one(QQ, ("x",), 6)})
 
+    def test_compose_matches_term_by_term_random(self):
+        rng = random.Random(7)
+        for _ in range(15):
+            f = rand_xyu(rng, 3)
+            s, t = rand_xyu(rng, 3, 4, constant=False), rand_xyu(rng, 3, 4, constant=False)
+            assert f.compose({"x": s, "y": t}) == naive_compose(f, {"x": s, "y": t})
+            # y passes through as a formal variable, u1 and u2 as coefficients.
+            assert f.compose({"x": s}) == naive_compose(f, {"x": s})
+
+    def test_missing_target_variable_rejected(self):
+        f = MultiSeries(QQ, ("x", "u1"), 4, {(1, 0): Fraction(1), (1, 2): Fraction(3)})
+        s = MultiSeries.variable(QQ, ("x",), "x", 4)
+        with pytest.raises(VariableMismatch):
+            f.compose({"x": s})
+        # A variable that appears with exponent 0 only need not exist there.
+        g = MultiSeries(QQ, ("x", "u1"), 4, {(2, 0): Fraction(1)})
+        assert g.compose({"x": s}) == s * s
+
     def test_compose_associative_random(self):
         rng = random.Random(5)
         cap = 6
@@ -82,7 +152,7 @@ class TestCompose:
             terms = {(1,): Fraction(rng.choice([1, -1, 2]))}
             for e in range(2, 5):
                 terms[(e,)] = Fraction(rng.randint(-3, 3))
-            return MultiSeries(QQ, ("x",), cap, None, terms)
+            return MultiSeries(QQ, ("x",), cap, terms)
         for _ in range(10):
             f, g, h = (rand_unit_linear() for _ in range(3))
             assert f.compose({"x": g}).compose({"x": h}) == f.compose(
@@ -127,7 +197,7 @@ class TestReversion:
             terms = {(1,): Fraction(rng.choice([1, -1, 2, 3]))}
             for e in range(2, cap + 1):
                 terms[(e,)] = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
-            s = MultiSeries(QQ, ("x",), cap, None, terms)
+            s = MultiSeries(QQ, ("x",), cap, terms)
             r = s.reversion()
             assert r.compose({"x": s}) == x
             assert s.compose({"x": r}) == x
@@ -148,19 +218,19 @@ class TestSerialization:
     def test_roundtrip_canonical(self):
         fp = PrimeFieldRing(5)
         s = MultiSeries(
-            fp, ("x", "u1"), 5, 8,
+            fp, ("x", "u1"), 5,
             {(2, 1): fp.from_int(3), (1, 0): fp.one, (0, 4): fp.from_int(2)},
         )
         payload = s.to_payload()
         back = MultiSeries.from_payload(
-            fp, ("x", "u1"), 5, 8, payload, lambda t: fp.from_int(int(t))
+            fp, ("x", "u1"), 5, payload, lambda t: fp.from_int(int(t))
         )
         assert back == s
         assert back.to_payload() == payload
 
     def test_canonical_order_graded_then_lex(self):
         s = MultiSeries(
-            QQ, ("x", "y"), 6, None,
+            QQ, ("x", "y"), 6,
             {(2, 0): Fraction(1), (0, 2): Fraction(1), (1, 0): Fraction(1)},
         )
         exps = [e for e, _ in s.canonical_terms()]
