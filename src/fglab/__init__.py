@@ -15,7 +15,6 @@ from .dvr import (
     WeierstrassFactorization,
     WeightValue,
     eisenstein_check,
-    weierstrass_prepare,
 )
 from .errors import FglabError
 from .fgl import (
@@ -61,6 +60,5 @@ __all__ = [
     "reduce_mod_p",
     "run_verify",
     "verify_fgl_congruences",
-    "weierstrass_prepare",
     "__version__",
 ]

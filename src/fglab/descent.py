@@ -19,37 +19,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import PrecisionExhausted, WeightNotReduced
+import numpy as np
+
+from .errors import DescentInputError, PrecisionExhausted, WeightNotReduced
 from .dvr import DvrElement
 from .scalars import USeries
 
 
 class ReducedPowerOperator:
-    """u |-> un_image extended multiplicatively to F_p[[u]], with cached powers."""
+    """u |-> un_image extended multiplicatively to F_p[[u]], with cached powers
+    (also stacked as one basis for ``DvrRing.combine``)."""
 
     def __init__(self, un_image: DvrElement):
         self.un_image = un_image
         self.ring = un_image.ring
         self._powers = [self.ring.one(), un_image]
+        self._stacked = self.ring.stack(self._powers)
 
     def power(self, t: int) -> DvrElement:
+        known = len(self._powers)
         while len(self._powers) <= t:
             self._powers.append(self._powers[-1] * self.un_image)
+        if len(self._powers) > known:
+            new = self.ring.stack(self._powers[known:])
+            self._stacked = np.concatenate([self._stacked, new])
         return self._powers[t]
 
     def apply(self, z: USeries) -> DvrElement:
-        """sum_t z_t * (u-image)^t, evaluated in R."""
+        """sum_t z_t * (u-image)^t, evaluated in R, known to the least
+        precision among the powers it uses."""
         if z.p != self.ring.p:
-            raise ValueError("mixed primes")
-        out = self.ring.zero()
-        for t, c in enumerate(z.coeffs):
-            if not c:
-                continue
-            term = self.power(t)
-            out = out + DvrElement(
-                self.ring, tuple(s.scale(c) for s in term.coeffs), prec=term.prec
-            )
-        return out
+            raise DescentInputError("mixed primes")
+        used = [t for t, c in enumerate(z.coeffs) if c]
+        if used:
+            self.power(used[-1])
+        return self.ring.combine(
+            [(0, t, z.coeffs[t]) for t in used],
+            self._stacked,
+            prec=min((self._powers[t].prec for t in used), default=None),
+        )
 
 
 @dataclass
@@ -91,7 +99,7 @@ def descent_step(z: USeries, op: ReducedPowerOperator) -> tuple[USeries, int, in
     """
     w = z.weight()
     if w is None or w < 1:
-        raise ValueError("descent_step needs wt(z) >= 1 and z nonzero")
+        raise DescentInputError("descent_step needs wt(z) >= 1 and z nonzero")
     r = op.apply(z)
     d = op.ring.d
     v = r.valuation()
@@ -124,7 +132,7 @@ def descent_run(z: USeries, op: ReducedPowerOperator) -> DescentTrace:
     """Iterate descent_step until the weight drops below 1; the trace records
     every intermediate weight and chosen index."""
     if z.is_zero():
-        raise ValueError("descent needs a nonzero start")
+        raise DescentInputError("descent needs a nonzero start")
     trace = DescentTrace(start=z)
     current = z
     bound = (z.weight() or 0) * op.ring.d + 1

@@ -21,6 +21,12 @@ enough in the (t*d + i)-triangle to support the requested levels: the level-m
 slice of g needs h up to degree about (m+2)*d, which is why the big-series
 stage works to a-degree (M+2)*d + p^n.
 
+Elements of R are stored as d coefficient series in u.  Every sum in R,
+r * u^t * B_k over a precomputed basis B of R, is one ``DvrRing.combine``:
+reducing a (t, a-degree) grid mod g (``from_rows``) and the reduction step of
+a product use the ring's table of a^k mod g; translating by c uses the
+powers c^j; the reduced power operation uses the powers of the u-image.
+
 Precision semantics are explicit everywhere: a DvrElement carries ``prec``,
 the valuation below which its coefficients are exact; elements whose
 valuation reaches ``prec`` are indistinguishable from zero and operations
@@ -278,17 +284,6 @@ def weierstrass_from_rows(
     )
 
 
-def weierstrass_prepare(h: MultiSeries, d: int, pole: int, levels: int) -> WeierstrassFactorization:
-    """Prepare a reduced univariate series given as a MultiSeries over
-    (a, un) with F_p coefficients; its formal cap is the guaranteed depth."""
-    rows = rows_from_reduced_series(h, "a" if "a" in h.variables else "x")
-    p = h.ring.p
-    precision = levels
-    return weierstrass_from_rows(
-        p, rows, d, pole, precision, levels, depth=h.formal_cap
-    )
-
-
 def reconstruction_defect(
     fact: WeierstrassFactorization, rows: dict, ulevels: int
 ) -> dict:
@@ -333,10 +328,6 @@ class WeightValue:
     valuation: int | None
     denominator: int
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.valuation is None
-
     def as_fraction(self) -> Fraction | None:
         if self.valuation is None:
             return None
@@ -348,14 +339,6 @@ class WeightValue:
         f = self.as_fraction()
         return f"{f.numerator}/{f.denominator}"
 
-    def __lt__(self, other: "WeightValue"):
-        a, b = self.as_fraction(), other.as_fraction()
-        if b is None:
-            return a is not None
-        if a is None:
-            return False
-        return a < b
-
     def __eq__(self, other):
         if not isinstance(other, WeightValue):
             return NotImplemented
@@ -363,7 +346,14 @@ class WeightValue:
 
 
 class DvrRing:
-    """F_p[[u]][a]/g(a) at u-precision M; tables for reduction by the monic g."""
+    """F_p[[u]][a]/g(a) at u-precision M.
+
+    ``_a_pow`` holds a^k mod g for k = 0, 1, ... as one int64 array of shape
+    (K, d, M): ``_a_pow[k, i]`` is the u-coefficient list of a^i in a^k.  It
+    covers k < 2d, all a product needs, and ``_ensure_pow`` extends it for
+    deeper grids.  Every sum in R is one ``combine`` over a stacked basis
+    like it.
+    """
 
     def __init__(self, g: DistinguishedPoly):
         self.g = g
@@ -371,72 +361,81 @@ class DvrRing:
         self.d = g.degree
         self.precision = g.precision  # u-levels per coefficient
         self.prec_cap = self.precision * self.d  # valuation resolution of R
-        self._a_pow: list = []  # a^k mod g as tuple-of-USeries rows
+        self._g_low = np.array([c.coeffs for c in g.coefficients[: self.d]], dtype=np.int64)
+        self._a_pow = np.zeros((self.d, self.d, self.precision), dtype=np.int64)
+        self._a_pow[np.arange(self.d), np.arange(self.d), 0] = 1
         self._ensure_pow(2 * self.d - 1)
 
     def _ensure_pow(self, kmax: int):
+        """Extend the a^k table through kmax: a^(k+1) = a * a^k, with the a^d
+        it overflows into replaced by -(g_0 + g_1 a + ... + g_(d-1) a^(d-1))."""
+        p, M = self.p, self.precision
+        prev = self._a_pow[-1]
+        new = []
+        for _ in range(len(self._a_pow), kmax + 1):
+            top = prev[-1]
+            prev = np.roll(prev, 1, axis=0)
+            prev[0] = 0
+            for i, gi in enumerate(self._g_low):
+                prev[i] -= np.convolve(top, gi)[:M]
+            prev %= p
+            new.append(prev)
+        if new:
+            self._a_pow = np.concatenate([self._a_pow, np.stack(new)])
+
+    @staticmethod
+    def stack(elements) -> np.ndarray:
+        """Elements' coefficients as a (K, d, M) int64 basis for ``combine``."""
+        return np.array([[c.coeffs for c in e.coeffs] for e in elements], dtype=np.int64)
+
+    def combine(self, terms, basis: np.ndarray, prec: int | None = None) -> "DvrElement":
+        """sum of r * u^t * basis[k] over the (t, k, r) triples in ``terms``.
+
+        ``basis`` is a (K, d, M) residue array: the a^k table, or stacked
+        element coefficients.  Terms with t >= M vanish at this precision.
+        The sum is taken in int64 and reduced mod p once; each entry is at
+        most sum |r| * (p - 1) in absolute value, exact while sum |r| stays
+        below 2^63 / p, which residues or short sums of them never approach.
+        """
         p, d, M = self.p, self.d, self.precision
-        if not self._a_pow:
-            for k in range(d):
-                row = [USeries.zero(p, M) for _ in range(d)]
-                row[k] = USeries.one(p, M)
-                self._a_pow.append(tuple(row))
-        while len(self._a_pow) <= kmax:
-            prev = self._a_pow[-1]
-            top = prev[d - 1]
-            row = [USeries.zero(p, M)] + list(prev[: d - 1])
-            if not top.is_zero():
-                for i in range(d):
-                    row[i] = row[i] - top * self.g.coefficients[i]
-            self._a_pow.append(tuple(row))
+        tkr = np.asarray(terms, dtype=np.int64).reshape(-1, 3)
+        tkr = tkr[tkr[:, 0] < M]
+        by_shift = np.zeros((M, len(basis)), dtype=np.int64)
+        np.add.at(by_shift, (tkr[:, 0], tkr[:, 1]), tkr[:, 2])
+        shifts = np.flatnonzero(by_shift.any(axis=1))
+        ks = np.flatnonzero(by_shift.any(axis=0))
+        sums = by_shift[np.ix_(shifts, ks)] @ basis[ks].reshape(len(ks), d * M)
+        acc = np.zeros((d, M), dtype=np.int64)
+        for t, s in zip(shifts.tolist(), sums.reshape(-1, d, M)):
+            acc[:, t:] += s[:, : M - t]
+        acc %= p
+        return DvrElement(self, (USeries(p, row) for row in acc.tolist()), prec=prec)
 
     # -- constructors ------------------------------------------------------
 
+    def from_rows(self, rows: dict, prec: int | None = None) -> "DvrElement":
+        """Reduce a (t, a-degree) residue grid mod g into R."""
+        self._ensure_pow(max((deg for (_, deg) in rows), default=0))
+        terms = [(t, deg, r) for (t, deg), r in rows.items()]
+        return self.combine(terms, self._a_pow, prec)
+
     def zero(self) -> "DvrElement":
-        return DvrElement(
-            self, tuple(USeries.zero(self.p, self.precision) for _ in range(self.d))
-        )
+        return self.from_rows({})
 
     def one(self) -> "DvrElement":
-        cs = [USeries.zero(self.p, self.precision) for _ in range(self.d)]
-        cs[0] = USeries.one(self.p, self.precision)
-        return DvrElement(self, tuple(cs))
+        return self.from_rows({(0, 0): 1})
 
     def from_int(self, k: int) -> "DvrElement":
-        cs = [USeries.zero(self.p, self.precision) for _ in range(self.d)]
-        cs[0] = USeries.monomial(self.p, self.precision, 0, k)
-        return DvrElement(self, tuple(cs))
+        return self.from_rows({(0, 0): k})
 
     def monomial(self, t: int, i: int, c: int = 1) -> "DvrElement":
-        cs = [USeries.zero(self.p, self.precision) for _ in range(self.d)]
-        cs[i] = USeries.monomial(self.p, self.precision, t, c)
-        return DvrElement(self, tuple(cs))
+        return self.from_rows({(t, i): c})
 
     def un(self) -> "DvrElement":
         return self.monomial(1, 0)
 
     def a(self) -> "DvrElement":
         return self.monomial(0, 1)
-
-    def from_rows(self, rows: dict, prec: int | None = None) -> "DvrElement":
-        """Reduce a (t, a-degree) residue grid mod g into R (numpy-accumulated)."""
-        p, d, M = self.p, self.d, self.precision
-        kmax = max((deg for (_, deg) in rows), default=0)
-        self._ensure_pow(kmax)
-        acc = np.zeros((d, M), dtype=np.int64)
-        for (t, deg), r in rows.items():
-            if t >= M:
-                continue
-            row = self._a_pow[deg]
-            for i in range(d):
-                cs = row[i].coeffs
-                if t == 0:
-                    acc[i] += np.array(cs, dtype=np.int64) * r
-                else:
-                    acc[i, t:] += np.array(cs[: M - t], dtype=np.int64) * r
-            acc %= p
-        coeffs = tuple(USeries(p, acc[i].tolist()) for i in range(d))
-        return DvrElement(self, coeffs, prec=prec)
 
     def __eq__(self, other):
         return isinstance(other, DvrRing) and other.g == self.g
@@ -491,22 +490,16 @@ class DvrElement:
     def __mul__(self, other: "DvrElement") -> "DvrElement":
         self._check(other)
         ring = self.ring
-        d, p, M = ring.d, ring.p, ring.precision
-        full = [USeries.zero(p, M) for _ in range(2 * d - 1)]
+        d, M = ring.d, ring.precision
+        full = np.zeros((2 * d - 1, M), dtype=np.int64)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                full[i + j] = full[i + j] + a * b
-        out = [USeries.zero(p, M) for _ in range(d)]
-        for k, c in enumerate(full):
-            if c.is_zero():
-                continue
-            row = ring._a_pow[k]
-            for i in range(d):
-                out[i] = out[i] + c * row[i]
+                if not b.is_zero():
+                    full[i + j] += (a * b).coeffs
+        k, t = np.nonzero(full)
+        terms = np.column_stack([t, k, full[k, t]])
         va = self.valuation()
         vb = other.valuation()
         prec = min(
@@ -514,7 +507,7 @@ class DvrElement:
             self.prec + (vb if vb is not None else other.prec),
             other.prec + (va if va is not None else self.prec),
         )
-        return DvrElement(ring, tuple(out), prec=prec)
+        return ring.combine(terms, ring._a_pow[: 2 * d - 1], prec)
 
     def __pow__(self, e: int) -> "DvrElement":
         if e < 0:

@@ -54,6 +54,11 @@ class PrerequisiteVanishingFailed(FglabError):
     """A coefficient that must vanish before a later extraction is legal did not."""
 
 
+class DescentInputError(FglabError):
+    """Weight descent was asked of an input outside its domain: a zero start,
+    a step from a unit, or a series over a different prime than the ring."""
+
+
 class WeightNotReduced(FglabError):
     """A descent step failed to strictly reduce the weight."""
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     IntegralityFailure,
     NeitherSignHolds,
@@ -47,7 +45,6 @@ from .errors import (
     ResidualMismatch,
 )
 from .dvr import DvrElement, DvrRing
-from .scalars import USeries
 
 
 class FracElement:
@@ -135,12 +132,9 @@ def slab_row_tables(slab: dict, x_cap: int) -> list[dict]:
 def translate_series(
     ring: DvrRing, rows: list[dict], c: DvrElement, x_cap: int
 ) -> list[DvrElement]:
-    """Coefficients of x +_F c: entry i is sum_j F_row[i][j] * c^j in R."""
-    p, d, M = ring.p, ring.d, ring.precision
-    jmax = 0
-    for row in rows:
-        if row:
-            jmax = max(jmax, max(row))
+    """Coefficients of x +_F c: entry i is sum_j F_row[i][j] * c^j in R, known
+    to the least precision among the powers c^j it uses."""
+    jmax = max((max(row) for row in rows if row), default=0)
     powers = [ring.one()]
     for j in range(1, jmax + 1):
         nxt = powers[-1] * c
@@ -149,26 +143,15 @@ def translate_series(
             # Higher powers stay zero at this resolution; reuse it.
             powers.extend([nxt] * (jmax - j))
             break
-    out = []
-    for i in range(x_cap + 1):
-        acc = np.zeros((d, M), dtype=np.int64)
-        prec = ring.prec_cap
-        for j, upoly in rows[i].items():
-            cj = powers[j]
-            prec = min(prec, cj.prec)
-            for t, r in upoly.items():
-                if t >= M:
-                    continue
-                for ii in range(d):
-                    cs = cj.coeffs[ii].coeffs
-                    if t == 0:
-                        acc[ii] += np.array(cs, dtype=np.int64) * r
-                    else:
-                        acc[ii, t:] += np.array(cs[: M - t], dtype=np.int64) * r
-            acc %= p
-        coeffs = tuple(USeries(p, acc[ii].tolist()) for ii in range(d))
-        out.append(DvrElement(ring, coeffs, prec=prec))
-    return out
+    basis = ring.stack(powers)
+    return [
+        ring.combine(
+            [(t, j, r) for j, upoly in rows[i].items() for t, r in upoly.items()],
+            basis,
+            prec=min((powers[j].prec for j in rows[i]), default=None),
+        )
+        for i in range(x_cap + 1)
+    ]
 
 
 def _xseries_mul(ring: DvrRing, A: list, B: list, x_cap: int) -> list:
@@ -232,16 +215,6 @@ class NormData:
     residual_defects: list  # (valuation, precision) of the defect per x-degree
 
 
-def p_series_x_over_ring(ring: DvrRing, p_series_x: dict, x_cap: int) -> list:
-    """[p](x) as an x-series with coefficients in F_p[[u]] inside R."""
-    coeffs = [ring.zero() for _ in range(x_cap + 1)]
-    M = ring.precision
-    for (t, deg), r in p_series_x.items():
-        if deg <= x_cap and t < M:
-            coeffs[deg] = coeffs[deg] + ring.monomial(t, 0, r)
-    return coeffs
-
-
 def quotient_p_series(
     ring: DvrRing,
     slab_rows: list,
@@ -267,7 +240,10 @@ def quotient_p_series(
     f = [ring.zero()] + prod[:x_cap]
 
     # Left-hand product [p](x) * prod_k phi_k([p](x)).
-    P = p_series_x_over_ring(ring, p_series_x, x_cap)
+    P = [
+        ring.from_rows({(t, 0): r for (t, deg), r in p_series_x.items() if deg == i})
+        for i in range(x_cap + 1)
+    ]
     p_powers = _xseries_powers(ring, P, x_cap)
     lhs = P
     for phi in phis:

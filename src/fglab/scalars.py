@@ -45,22 +45,6 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def p_valuation(value: RationalLike, p: int) -> int | None:
-    """p-adic valuation of an exact rational; None for 0."""
-    q = Fraction(value)
-    if q == 0:
-        return None
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def is_p_integral(value: RationalLike, p: int) -> bool:
     return Fraction(value).denominator % p != 0
 
@@ -276,9 +260,6 @@ class USeries:
             base = base * base
             e >>= 1
         return result
-
-    def scale(self, c: int) -> "USeries":
-        return USeries(self.p, [c * a for a in self.coeffs])
 
     def divide_by_u(self, t: int = 1) -> "USeries":
         """Exact division by u^t.  The quotient's top t coefficients are not

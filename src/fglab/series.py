@@ -415,14 +415,5 @@ class MultiSeries:
                 parts.append("*".join([cs] + factors))
         return " + ".join(parts) if parts else "0"
 
-    def to_payload(self) -> list:
-        """JSON-safe serialization through the canonical term order."""
-        return [[list(e), str(c)] for e, c in self.canonical_terms()]
-
-    @classmethod
-    def from_payload(cls, ring, variables, formal_cap, payload, parse_scalar):
-        terms = {tuple(e): parse_scalar(s) for e, s in payload}
-        return cls(ring, variables, formal_cap, terms)
-
     def __repr__(self):
         return f"MultiSeries({self.render()})"

@@ -603,11 +603,13 @@ def run_descent_command(
 
     cfg = ChromaticConfig(p, n, u_precision=u_prec)
     guard_config(cfg, force)
+    M = cfg.u_precision
+    if random_count and not 1 <= max_weight <= M - 1:
+        raise ValueError(f"max_weight {max_weight} is outside 1..{M - 1} (u-precision {M})")
     t_total = time.perf_counter()
     pipe = build_pipeline(p, n, 0, u_prec)
     report = RunReport(config=_report_config(cfg, "descent", seed if random_count else None))
     report.epsilon_sign = pipe.epsilon_divided
-    M = cfg.u_precision
     zs: list[tuple[str, USeries]] = []
     for expr in z_exprs or []:
         zs.append((expr, parse_useries(expr, p, M)))

@@ -34,6 +34,22 @@ class TestExitCodes:
         assert main(["descent", "--p", "2", "--n", "1"]) == 2
         capsys.readouterr()
 
+    def test_random_weight_past_precision_rejected(self, capsys):
+        """The default --max-weight 20 cannot be drawn at M = 8: exit 2, not
+        an IndexError from the draw; M - 1 is the largest weight allowed."""
+        argv = ["descent", "--p", "2", "--n", "1", "--random", "5", "--u-prec"]
+        assert main(argv + ["8"]) == 2
+        assert "1..7" in capsys.readouterr().err
+        assert main(argv + ["12", "--max-weight", "12"]) == 2
+        assert "1..11" in capsys.readouterr().err
+        assert main(argv + ["12", "--max-weight", "11"]) == 0
+        capsys.readouterr()
+
+    def test_random_weight_zero_rejected(self, capsys):
+        argv = ["descent", "--p", "2", "--n", "1", "--random", "5", "--max-weight", "0"]
+        assert main(argv) == 2
+        assert "1..31" in capsys.readouterr().err
+
 
 class TestParseUseries:
     def test_forms(self):

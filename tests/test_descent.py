@@ -10,7 +10,7 @@ from fglab.descent import (
     weight_rule_witness,
 )
 from fglab.dvr import DvrElement
-from fglab.errors import PrecisionExhausted
+from fglab.errors import DescentInputError, PrecisionExhausted
 from fglab.scalars import USeries
 
 
@@ -101,6 +101,22 @@ class TestApplyReducedPower:
             img = pipe.operator.apply(USeries.monomial(p, M, t))
             assert img.weight().as_fraction() == Fraction(t * (p - 1), d)
 
+    def test_apply_keeps_least_power_prec(self, pipeline):
+        """apply(z) is known to the least precision among the powers
+        (u-image)^t with z_t != 0; u^0 maps to 1, known to the cap."""
+        pipe = pipeline(2, 1)
+        ring = pipe.ring
+        M = pipe.config.u_precision
+        starved = DvrElement(ring, pipe.un_image_divided.coeffs, prec=5)
+        op = ReducedPowerOperator(starved)
+        z = USeries.monomial(2, M, 3) + USeries.monomial(2, M, 6)
+        want = op.power(3).prec
+        assert want < op.power(6).prec < ring.prec_cap
+        assert op.apply(z).prec == want
+        assert op.apply(USeries.monomial(2, M, 6)).prec == op.power(6).prec
+        assert op.apply(USeries.one(2, M)).prec == ring.prec_cap
+        assert op.apply(z).coeffs == (op.power(3) + op.power(6)).coeffs
+
 
 class TestDescentStep:
     def test_un_step_21(self, pipeline):
@@ -122,7 +138,7 @@ class TestDescentStep:
 
     def test_unit_rejected(self, pipeline):
         pipe = pipeline(2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DescentInputError):
             descent_step(USeries.one(2, pipe.config.u_precision), pipe.operator)
 
     def test_precision_exhaustion_raises(self, pipeline):
@@ -168,7 +184,7 @@ class TestDescentRun:
 
     def test_zero_rejected(self, pipeline):
         pipe = pipeline(2, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DescentInputError):
             descent_run(USeries.zero(2, pipe.config.u_precision), pipe.operator)
 
 

@@ -5,6 +5,7 @@ import pytest
 from fglab.bigseries import build_reduced_law_data
 from fglab.dvr import (
     DistinguishedPoly,
+    DvrRing,
     WeightValue,
     eisenstein_check,
     reconstruction_defect,
@@ -12,7 +13,6 @@ from fglab.dvr import (
     reduced_p_series,
     rows_from_reduced_series,
     weierstrass_from_rows,
-    weierstrass_prepare,
 )
 from fglab.errors import InexactDivision, NotPreparable
 from fglab.fgl import ChromaticConfig, build_fgl
@@ -189,12 +189,14 @@ class TestWeierstrass:
             )
 
     def test_multiseries_surface(self):
-        """weierstrass_prepare accepts the small-cap reduced p-series and
-        agrees with the deep route on the levels it can honestly solve."""
+        """The small-cap reduced p-series, as rows to its formal cap, prepares
+        and agrees with the deep route on the levels it can honestly solve."""
         cfg = ChromaticConfig(2, 1, formal_cap=10)  # depth 10 supports 3 levels
         F = build_fgl(cfg)
         red = reduced_p_series(F)
-        fact_small = weierstrass_prepare(red, 2, 2, 3)
+        fact_small = weierstrass_from_rows(
+            2, rows_from_reduced_series(red), 2, 2, 3, 3, depth=red.formal_cap
+        )
         data = build_reduced_law_data(cfg)
         fact_deep = weierstrass_from_rows(
             2, data.p_series_a, 2, 2, 32, 32, depth=data.a_cap
@@ -209,8 +211,11 @@ class TestWeierstrass:
 
     def test_too_few_levels_rejected(self, pipeline):
         F = pipeline(2, 1).law
+        red = reduced_p_series(F)
         with pytest.raises(NotPreparable):
-            weierstrass_prepare(reduced_p_series(F), 2, 2, 1)
+            weierstrass_from_rows(
+                2, rows_from_reduced_series(red), 2, 2, 1, 1, depth=red.formal_cap
+            )
 
 
 class TestEisenstein:
@@ -319,7 +324,7 @@ class TestDvrArithmetic:
         e = ring.un() * ring.a() ** 3
         assert e.valuation() == 5
         assert ring.zero().valuation() is None
-        assert ring.zero().weight().is_infinite
+        assert ring.zero().weight().as_fraction() is None
 
     def test_weight_rendering(self, pipeline):
         ring = pipeline(2, 1).ring
@@ -357,6 +362,32 @@ class TestDvrArithmetic:
         assert check.valuation() is None or check.valuation() >= q.prec
         with pytest.raises(InexactDivision):
             ring.a().divide_exact(ring.un())
+
+
+class TestCombine:
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 1)])
+    def test_from_rows_matches_ring_arithmetic(self, pipeline, p, n):
+        """from_rows against sum r * u^t * a^deg formed by ring products, on
+        grids reaching a-degree 3d - 1 (past the first 2d rows of the a^k
+        table) and t >= M (terms that vanish at this precision).  A fresh
+        ring, so the table is extended here."""
+        ring = DvrRing(pipeline(p, n).ring.g)
+        d, M = ring.d, ring.precision
+        rng = random.Random(61)
+        for _ in range(6):
+            rows = {
+                (rng.randrange(M + 3), rng.randrange(3 * d)): rng.randrange(1, p)
+                for _ in range(12)
+            }
+            rows[(rng.randrange(M), 3 * d - 1)] = 1
+            rows[(M + 1, rng.randrange(3 * d))] = 1
+            want = ring.zero()
+            for (t, deg), r in rows.items():
+                want = want + ring.monomial(t, 0, r) * ring.a() ** deg
+            got = ring.from_rows(rows)
+            assert got.coeffs == want.coeffs
+            assert got.prec == ring.prec_cap
+            assert ring.from_rows(rows, prec=7).prec == 7
 
 
 class TestPsi:

@@ -172,6 +172,30 @@ class TestStarvedPrecision:
         with pytest.raises(PrecisionExhausted):
             build_pipeline(2, 1, 0, 4)
 
+    def test_translate_keeps_least_power_prec(self, pipeline):
+        """Entry i of x +_F c is known to the least precision among the c^j it
+        uses: prec(c^0) is the cap and prec(c^j) = prec(c) + (j - 1) val(c)."""
+        from fglab.dvr import DvrElement
+        from fglab.isogeny import slab_row_tables, translate_series
+
+        pipe = pipeline(2, 1)
+        ring, data = pipe.ring, pipe.data
+        full = ring.from_rows(data.series_a[-1])
+        c = DvrElement(ring, full.coeffs, prec=5)
+        rows = slab_row_tables(data.slab, data.x_cap)
+        out = translate_series(ring, rows, c, data.x_cap)
+        v = c.valuation()
+
+        def prec_of_power(j):
+            return ring.prec_cap if j == 0 else min(ring.prec_cap, 5 + (j - 1) * v)
+
+        for i, e in enumerate(out):
+            assert e.prec == min((prec_of_power(j) for j in rows[i]), default=ring.prec_cap)
+        assert min(e.prec for e in out) == 5
+        assert [e.coeffs for e in out] == [
+            e.coeffs for e in translate_series(ring, rows, full, data.x_cap)
+        ]
+
 
 class TestCrossPrecision:
     def test_m32_agrees_with_m64_below_prec(self, pipeline):

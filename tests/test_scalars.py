@@ -9,7 +9,6 @@ from fglab.scalars import (
     FpElement,
     USeries,
     is_p_integral,
-    p_valuation,
     reduce_mod_p,
     validate_prime,
 )
@@ -42,9 +41,6 @@ class TestReduceModP:
             reduce_mod_p(Fraction(1, 2), 2)
 
     def test_p_valuation(self):
-        assert p_valuation(Fraction(12), 2) == 2
-        assert p_valuation(Fraction(3, 8), 2) == -3
-        assert p_valuation(0, 5) is None
         assert is_p_integral(Fraction(7, 6), 5)
         assert not is_p_integral(Fraction(7, 10), 5)
 

@@ -8,7 +8,7 @@ from fglab.errors import (
     NonzeroConstantTerm,
     VariableMismatch,
 )
-from fglab.series import MultiSeries, PrimeFieldRing, RationalRing
+from fglab.series import MultiSeries, RationalRing
 
 QQ = RationalRing()
 
@@ -215,19 +215,6 @@ class TestReversion:
 
 
 class TestSerialization:
-    def test_roundtrip_canonical(self):
-        fp = PrimeFieldRing(5)
-        s = MultiSeries(
-            fp, ("x", "u1"), 5,
-            {(2, 1): fp.from_int(3), (1, 0): fp.one, (0, 4): fp.from_int(2)},
-        )
-        payload = s.to_payload()
-        back = MultiSeries.from_payload(
-            fp, ("x", "u1"), 5, payload, lambda t: fp.from_int(int(t))
-        )
-        assert back == s
-        assert back.to_payload() == payload
-
     def test_canonical_order_graded_then_lex(self):
         s = MultiSeries(
             QQ, ("x", "y"), 6,
