@@ -34,14 +34,14 @@ class ReducedPowerOperator:
         self.un_image = un_image
         self.ring = un_image.ring
         self._powers = [self.ring.one(), un_image]
-        self._stacked = self.ring.stack(self._powers)
+        self._stacked = np.stack([e.coeffs for e in self._powers])
 
     def power(self, t: int) -> DvrElement:
         known = len(self._powers)
         while len(self._powers) <= t:
             self._powers.append(self._powers[-1] * self.un_image)
         if len(self._powers) > known:
-            new = self.ring.stack(self._powers[known:])
+            new = [e.coeffs for e in self._powers[known:]]
             self._stacked = np.concatenate([self._stacked, new])
         return self._powers[t]
 
@@ -112,14 +112,10 @@ def descent_step(z: USeries, op: ReducedPowerOperator) -> tuple[USeries, int, in
         raise PrecisionExhausted(
             f"image valuation {v} is at or beyond precision {r.prec}"
         )
-    best_i, best_w = None, None
-    for i in range(d):
-        wi = r.coeffs[i].weight()
-        if wi is None:
-            continue
-        if best_w is None or wi < best_w:
-            best_i, best_w = i, wi
-    extracted = r.coeffs[best_i]
+    # t*d + i with i < d orders monomials by t, then by i: row i is the
+    # lightest coefficient, the first of its weight.
+    best_w, best_i = divmod(v, d)
+    extracted = USeries(op.ring.p, r.coeffs[best_i].tolist())
     if best_w >= w:
         raise WeightNotReduced(
             f"extracted coefficient has weight {best_w}, not below {w}"

@@ -21,8 +21,9 @@ enough in the (t*d + i)-triangle to support the requested levels: the level-m
 slice of g needs h up to degree about (m+2)*d, which is why the big-series
 stage works to a-degree (M+2)*d + p^n.
 
-Elements of R are stored as d coefficient series in u.  Every sum in R,
-r * u^t * B_k over a precomputed basis B of R, is one ``DvrRing.combine``:
+An element of R is stored as one read-only (d, M) int64 array of residues,
+row i the u-coefficients of a^i.  A basis B of R stacks such arrays, and
+every sum in R, r * u^t * B_k over B, is one ``DvrRing.combine``:
 reducing a (t, a-degree) grid mod g (``from_rows``) and the reduction step of
 a product use the ring's table of a^k mod g; translating by c uses the
 powers c^j; the reduced power operation uses the powers of the u-image.
@@ -164,21 +165,6 @@ class WeierstrassFactorization:
         return self.unit_rows.get((0, 0), 0)
 
 
-def _series_inverse_modp(p: int, v: list, length: int) -> list:
-    """Inverse of a unit power series over F_p, coefficient list form."""
-    inv0 = pow(v[0], -1, p)
-    out = [0] * length
-    out[0] = inv0
-    for k in range(1, length):
-        acc = 0
-        top = min(k, len(v) - 1)
-        for i in range(1, top + 1):
-            if v[i]:
-                acc += v[i] * out[k - i]
-        out[k] = (-acc * inv0) % p
-    return out
-
-
 def weierstrass_from_rows(
     p: int,
     rows: dict,
@@ -214,68 +200,50 @@ def weierstrass_from_rows(
             f"input depth {a_cap} supports at most {(a_cap + d) // d - 2} levels, "
             f"{levels} requested"
         )
-    # h = [p](a) / a^pole as per-level coefficient lists.
-    h = [[0] * (a_cap + 1) for _ in range(levels)]
+    # h = [p](a) / a^pole as per-level coefficient arrays.
+    h = np.zeros((levels, a_cap + 1), dtype=np.int64)
     for (t, deg), r in rows.items():
         if t < levels and deg - pole <= a_cap:
-            h[t][deg - pole] = r
+            h[t, deg - pole] = r
+    h %= p
 
     hbar = h[0]
-    if any(hbar[i] for i in range(d)) or not hbar[d]:
+    if hbar[:d].any() or not hbar[d]:
         raise NotPreparable(
             "level-0 part is not a unit times a^d; wrong degree or wrong input"
         )
     vbar = hbar[d:]
-    vy = _series_inverse_modp(p, vbar, a_cap + 1)
+    # The computed unit is exact only where its dependency cone stayed inside
+    # the supplied rows: t*d + j <= valid_vbound <= input depth - d.  So W_m
+    # is solved only to a-degree valid_vbound - m*d, which needs known and G
+    # to d further.
+    valid_vbound = (levels + 1) * d
+    vy = np.array(USeries.from_coeffs(p, valid_vbound + 1, vbar.tolist()).inverse().coeffs)
 
-    def conv(xs, ys, length):
-        out = [0] * length
-        for i, xi in enumerate(xs):
-            if not xi or i >= length:
-                continue
-            top = min(len(ys), length - i)
-            for j in range(top):
-                if ys[j]:
-                    out[i + j] += xi * ys[j]
-        return [v % p for v in out]
-
-    g_levels = [[0] * d for _ in range(levels)]  # lower coefficients per level
-    w_levels = [vbar + [0] * d]  # W level lists, level 0 = vbar
+    g_levels = np.zeros((levels, d), dtype=np.int64)  # lower coefficients per level
+    w_levels = [vbar[: valid_vbound + 1]]  # W per level, level 0 = vbar
     for m in range(1, levels):
-        known = list(h[m])
+        w_len = valid_vbound - m * d + 1
+        n = w_len + d
+        known = h[m, :n].copy()
         for t in range(1, m):
-            gl = g_levels[t]
-            wl = w_levels[m - t]
-            for i, gi in enumerate(gl):
-                if not gi:
-                    continue
-                top = min(len(wl), a_cap + 1 - i)
-                for j in range(top):
-                    if wl[j]:
-                        known[i + j] -= gi * wl[j]
-        known = [v % p for v in known]
-        G = conv(vy, known, a_cap + 1)
+            if g_levels[t].any():
+                known -= np.convolve(g_levels[t], w_levels[m - t])[:n]
+        G = np.convolve(vy[:n], known % p)[:n] % p
         g_levels[m] = G[:d]
-        w_levels.append(conv(vbar, G[d:], a_cap + 1))
+        w_levels.append(np.convolve(vbar[:w_len], G[d:])[:w_len] % p)
 
-    coeffs = []
-    for i in range(d):
-        cs = [0] * precision
-        for m in range(min(levels, precision)):
-            cs[m] = g_levels[m][i]
-        coeffs.append(USeries(p, cs))
+    coeffs = [
+        USeries.from_coeffs(p, precision, g_levels[:, i].tolist()) for i in range(d)
+    ]
     coeffs.append(USeries.one(p, precision))
     g = DistinguishedPoly(p=p, degree=d, coefficients=tuple(coeffs), levels=levels)
 
-    # The computed unit is exact only where its dependency cone stayed inside
-    # the supplied rows: t*d + j <= input depth - d.
-    valid_vbound = (levels + 1) * d
-    unit_rows = {}
-    for m in range(levels):
-        wl = w_levels[m]
-        for j, v in enumerate(wl):
-            if v % p and m * d + j <= valid_vbound:
-                unit_rows[(m, j)] = v % p
+    unit_rows = {
+        (m, j): int(wl[j])
+        for m, wl in enumerate(w_levels)
+        for j in np.flatnonzero(wl).tolist()
+    }
     return WeierstrassFactorization(
         unit_rows=unit_rows,
         distinguished=g,
@@ -362,6 +330,9 @@ class DvrRing:
         self.precision = g.precision  # u-levels per coefficient
         self.prec_cap = self.precision * self.d  # valuation resolution of R
         self._g_low = np.array([c.coeffs for c in g.coefficients[: self.d]], dtype=np.int64)
+        # (g_0 / u)^(-1), the unit divide_by_a divides by; its top term is
+        # unknown and taken as 0.
+        self._g0_unit_inv = np.array(g.coefficients[0].divide_by_u(1).inverse().coeffs)
         self._a_pow = np.zeros((self.d, self.d, self.precision), dtype=np.int64)
         self._a_pow[np.arange(self.d), np.arange(self.d), 0] = 1
         self._ensure_pow(2 * self.d - 1)
@@ -383,21 +354,17 @@ class DvrRing:
         if new:
             self._a_pow = np.concatenate([self._a_pow, np.stack(new)])
 
-    @staticmethod
-    def stack(elements) -> np.ndarray:
-        """Elements' coefficients as a (K, d, M) int64 basis for ``combine``."""
-        return np.array([[c.coeffs for c in e.coeffs] for e in elements], dtype=np.int64)
-
     def combine(self, terms, basis: np.ndarray, prec: int | None = None) -> "DvrElement":
         """sum of r * u^t * basis[k] over the (t, k, r) triples in ``terms``.
 
-        ``basis`` is a (K, d, M) residue array: the a^k table, or stacked
-        element coefficients.  Terms with t >= M vanish at this precision.
-        The sum is taken in int64 and reduced mod p once; each entry is at
-        most sum |r| * (p - 1) in absolute value, exact while sum |r| stays
-        below 2^63 / p, which residues or short sums of them never approach.
+        ``basis`` is a (K, d, M) residue array: the a^k table, or the stacked
+        ``coeffs`` of elements.  Terms with t >= M vanish at this precision.
+        The sum is taken in int64 and reduced mod p once, by the element; each
+        entry is at most sum |r| * (p - 1) in absolute value, exact while
+        sum |r| stays below 2^63 / p, which residues or short sums of them
+        never approach.
         """
-        p, d, M = self.p, self.d, self.precision
+        d, M = self.d, self.precision
         tkr = np.asarray(terms, dtype=np.int64).reshape(-1, 3)
         tkr = tkr[tkr[:, 0] < M]
         by_shift = np.zeros((M, len(basis)), dtype=np.int64)
@@ -408,8 +375,7 @@ class DvrRing:
         acc = np.zeros((d, M), dtype=np.int64)
         for t, s in zip(shifts.tolist(), sums.reshape(-1, d, M)):
             acc[:, t:] += s[:, : M - t]
-        acc %= p
-        return DvrElement(self, (USeries(p, row) for row in acc.tolist()), prec=prec)
+        return DvrElement(self, acc, prec=prec)
 
     # -- constructors ------------------------------------------------------
 
@@ -450,16 +416,19 @@ class DvrRing:
 class DvrElement:
     """Element of R as sum_{i<d} c_i(u) a^i with explicit precision.
 
-    ``prec`` (in valuation units) bounds what the element is good for: terms
-    of valuation >= prec are unknown.  Fresh elements get the full resolution
-    M*d of the ring.
+    ``coeffs`` is a read-only (d, M) int64 array of residues mod p: row i
+    holds the u-coefficients of c_i, the layout of a ``DvrRing.combine``
+    basis, so elements stack into one directly.  ``prec`` (in valuation
+    units) bounds what the element is good for: terms of valuation >= prec
+    are unknown.  Fresh elements get the full resolution M*d of the ring.
     """
 
     __slots__ = ("ring", "coeffs", "prec")
 
     def __init__(self, ring: DvrRing, coeffs, prec: int | None = None):
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.coeffs = np.asarray(coeffs, dtype=np.int64) % ring.p
+        self.coeffs.flags.writeable = False  # __hash__ hashes the bytes
         self.prec = ring.prec_cap if prec is None else min(prec, ring.prec_cap)
 
     def _check(self, other: "DvrElement"):
@@ -471,33 +440,29 @@ class DvrElement:
     def __add__(self, other: "DvrElement") -> "DvrElement":
         self._check(other)
         return DvrElement(
-            self.ring,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            prec=min(self.prec, other.prec),
+            self.ring, self.coeffs + other.coeffs, prec=min(self.prec, other.prec)
         )
 
     def __sub__(self, other: "DvrElement") -> "DvrElement":
         self._check(other)
         return DvrElement(
-            self.ring,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            prec=min(self.prec, other.prec),
+            self.ring, self.coeffs - other.coeffs, prec=min(self.prec, other.prec)
         )
 
     def __neg__(self) -> "DvrElement":
-        return DvrElement(self.ring, tuple(-a for a in self.coeffs), prec=self.prec)
+        return DvrElement(self.ring, -self.coeffs, prec=self.prec)
 
     def __mul__(self, other: "DvrElement") -> "DvrElement":
         self._check(other)
         ring = self.ring
         d, M = ring.d, ring.precision
         full = np.zeros((2 * d - 1, M), dtype=np.int64)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    full[i + j] += (a * b).coeffs
+        rows_b = np.flatnonzero(other.coeffs.any(axis=1)).tolist()
+        for i in np.flatnonzero(self.coeffs.any(axis=1)).tolist():
+            a = self.coeffs[i]
+            for j in rows_b:
+                full[i + j] += np.convolve(a, other.coeffs[j])[:M]
+        full %= ring.p
         k, t = np.nonzero(full)
         terms = np.column_stack([t, k, full[k, t]])
         va = self.valuation()
@@ -526,22 +491,14 @@ class DvrElement:
 
     def valuation(self) -> int | None:
         """min over stored monomials u^t a^i of t*d + i; None when zero."""
-        d = self.ring.d
-        best = None
-        for i, c in enumerate(self.coeffs):
-            w = c.weight()
-            if w is None:
-                continue
-            v = w * d + i
-            if best is None or v < best:
-                best = v
-        return best
+        i, t = np.nonzero(self.coeffs)
+        return int((t * self.ring.d + i).min()) if len(i) else None
 
     def weight(self) -> WeightValue:
         return WeightValue(self.valuation(), self.ring.d)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.coeffs.any()
 
     def is_zero_within_prec(self) -> bool:
         """Zero up to the precision horizon: no stored term below ``prec``."""
@@ -551,30 +508,28 @@ class DvrElement:
     def __eq__(self, other):
         if not isinstance(other, DvrElement):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.ring == other.ring and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.coeffs.tobytes())
 
     # -- division -----------------------------------------------------------------
 
     def divide_by_a(self) -> "DvrElement":
         """Exact division by a.  Needs valuation >= 1; costs one u-level of the
-        top coefficient (accounted in prec)."""
+        top coefficient -(c_0/u) (g_0/u)^(-1) (accounted in prec), which keeps
+        all M terms with the unknown top term of c_0/u taken as 0."""
         ring = self.ring
-        d = ring.d
-        c0 = self.coeffs[0]
-        w0 = c0.weight()
-        if w0 is not None and w0 < 1:
+        p, M = ring.p, ring.precision
+        c = self.coeffs
+        if c[0, 0]:
             raise InexactDivision("element has valuation 0; a does not divide it")
-        b0 = ring.g.coefficients[0]
-        w_unit_inv = b0.divide_by_u(1).inverse()
-        q_top = -(c0.divide_by_u(1) * w_unit_inv)
-        out = [USeries.zero(ring.p, ring.precision) for _ in range(d)]
-        out[d - 1] = q_top
-        for i in range(d - 1):
-            out[i] = self.coeffs[i + 1] + q_top * ring.g.coefficients[i + 1]
-        return DvrElement(ring, tuple(out), prec=self.prec - 1)
+        q_top = -np.convolve(np.append(c[0, 1:], 0), ring._g0_unit_inv)[:M] % p
+        out = np.empty_like(c)
+        out[-1] = q_top
+        for i, gi in enumerate(ring._g_low[1:]):
+            out[i] = c[i + 1] + np.convolve(q_top, gi)[:M]
+        return DvrElement(ring, out, prec=self.prec - 1)
 
     def unit_part(self) -> tuple["DvrElement", int]:
         """(self / a^v, v) with v the valuation; raises on zero."""
@@ -594,8 +549,7 @@ class DvrElement:
         if v != 0:
             raise InexactDivision(f"valuation {v} element is not a unit of R")
         ring = self.ring
-        r0 = self.coeffs[0].coeffs[0]
-        y = ring.from_int(pow(r0, -1, ring.p))
+        y = ring.from_int(pow(self.residue_mod_m(), -1, ring.p))
         two = ring.from_int(2)
         goal = ring.prec_cap
         reached = 1
@@ -612,7 +566,7 @@ class DvrElement:
             raise PrecisionExhausted("division by zero-up-to-precision element")
         sv = self.valuation()
         if sv is None:
-            return DvrElement(self.ring, self.ring.zero().coeffs, prec=self.prec - ov)
+            return DvrElement(self.ring, self.coeffs, prec=self.prec - ov)
         if sv < ov:
             raise InexactDivision(
                 f"valuation {sv} not divisible by valuation {ov} element"
@@ -627,15 +581,15 @@ class DvrElement:
 
     def residue_mod_m(self) -> int:
         """Image in R/(a, u) = F_p."""
-        return self.coeffs[0].coeffs[0]
+        return int(self.coeffs[0, 0])
 
     def render(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, row in enumerate(self.coeffs.tolist()):
+            if not any(row):
                 continue
             mono = "" if i == 0 else ("a" if i == 1 else f"a^{i}")
-            cs = c.render()
+            cs = USeries(self.ring.p, row).render()
             if mono and cs != "1":
                 parts.append(f"({cs})*{mono}")
             elif mono:

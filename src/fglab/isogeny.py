@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     IntegralityFailure,
     NeitherSignHolds,
@@ -143,7 +145,7 @@ def translate_series(
             # Higher powers stay zero at this resolution; reuse it.
             powers.extend([nxt] * (jmax - j))
             break
-    basis = ring.stack(powers)
+    basis = np.stack([e.coeffs for e in powers])
     return [
         ring.combine(
             [(t, j, r) for j, upoly in rows[i].items() for t, r in upoly.items()],

@@ -272,17 +272,20 @@ class USeries:
         return USeries(self.p, self.coeffs[t:] + (0,) * t)
 
     def inverse(self) -> "USeries":
-        """Multiplicative inverse of a unit, by the standard recurrence."""
+        """Multiplicative inverse of a unit, by Newton iteration
+        y <- y * (2 - x * y), which doubles the number of exact terms."""
         if not self.is_unit():
             raise ZeroDivisionError("constant term is zero; not a unit")
         p, M = self.p, self.precision
-        c0_inv = pow(self.coeffs[0], -1, p)
-        out = [0] * M
-        out[0] = c0_inv
-        for t in range(1, M):
-            acc = sum(self.coeffs[k] * out[t - k] for k in range(1, t + 1))
-            out[t] = (-acc * c0_inv) % p
-        return USeries(p, out)
+        x = np.array(self.coeffs, dtype=np.int64)
+        y = np.array([pow(self.coeffs[0], -1, p)], dtype=np.int64)
+        n = 1
+        while n < M:
+            n = min(2 * n, M)
+            two_minus_xy = -np.convolve(x[:n], y)[:n] % p
+            two_minus_xy[0] += 2
+            y = np.convolve(y, two_minus_xy)[:n] % p
+        return USeries(p, y.tolist())
 
     # -- comparison / rendering -------------------------------------------
 

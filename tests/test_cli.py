@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from fglab.cli import main
@@ -10,6 +12,7 @@ from fglab.scalars import USeries
 from fglab.series import MultiSeries
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "goldens")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 class TestExitCodes:
@@ -86,9 +89,23 @@ class TestReports:
         assert payload["epsilon_sign"] == 1
 
     def test_reused_pipeline_reports_no_stage_times(self):
-        # u-precision 8 is built by no other test, so the first call builds.
-        first = run_verify(2, 1, u_prec=8).timing
-        second = run_verify(2, 1, u_prec=8).timing
+        # A fresh interpreter starts with an empty pipeline cache, so the first
+        # call builds whatever this process built before.
+        code = (
+            "import json, sys; from fglab.verify import run_verify; "
+            "json.dump([run_verify(2, 1, u_prec=8).timing for _ in range(2)], sys.stdout)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        ).stdout
+        first, second = json.loads(out)
         stages = {
             "fgl_build_ms",
             "fgl_congruences_ms",

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fglab.descent import (
@@ -38,14 +39,14 @@ class TestPhiExtract:
             for j in range(d):
                 got = e.coeffs[j]
                 if i == j:
-                    assert got == USeries.one(3, ring.precision)
+                    assert got.tolist() == list(USeries.one(3, ring.precision).coeffs)
                 else:
-                    assert got.is_zero()
+                    assert not got.any()
 
     def test_linear_over_coefficients(self, pipeline):
         ring = pipeline(2, 1).ring
         e = ring.monomial(1, 1)  # u * a
-        assert e.coeffs[1] == USeries.monomial(2, ring.precision, 1)
+        assert e.coeffs[1].tolist() == list(USeries.monomial(2, ring.precision, 1).coeffs)
 
     def test_additive_random(self, pipeline):
         ring = pipeline(2, 2).ring
@@ -54,7 +55,7 @@ class TestPhiExtract:
             x = ring.monomial(rng.randrange(3), rng.randrange(ring.d))
             y = ring.monomial(rng.randrange(3), rng.randrange(ring.d))
             i = rng.randrange(ring.d)
-            assert (x + y).coeffs[i] == x.coeffs[i] + y.coeffs[i]
+            assert np.array_equal((x + y).coeffs[i], (x.coeffs[i] + y.coeffs[i]) % ring.p)
 
     def test_index_out_of_range(self, pipeline):
         ring = pipeline(2, 1).ring
@@ -115,7 +116,7 @@ class TestApplyReducedPower:
         assert op.apply(z).prec == want
         assert op.apply(USeries.monomial(2, M, 6)).prec == op.power(6).prec
         assert op.apply(USeries.one(2, M)).prec == ring.prec_cap
-        assert op.apply(z).coeffs == (op.power(3) + op.power(6)).coeffs
+        assert np.array_equal(op.apply(z).coeffs, (op.power(3) + op.power(6)).coeffs)
 
 
 class TestDescentStep:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fglab.bigseries import build_reduced_law_data
@@ -209,6 +210,23 @@ class TestWeierstrass:
                 == fact_deep.distinguished.coefficients[i].coeffs[:lvl]
             )
 
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)])
+    def test_fewer_levels_keep_unit_terms(self, pipeline, p, n):
+        """Solving fewer levels from the same rows gives the same unit terms on
+        its own region t*d + j <= valid_vbound, including the top terms no
+        reconstruction check reaches."""
+        pipe = pipeline(p, n)
+        d, M = pipe.ring.d, pipe.config.u_precision
+        for levels in (3, 8):
+            fact = weierstrass_from_rows(
+                p, pipe.data.p_series_a, d, p**n, M, levels, depth=pipe.data.a_cap
+            )
+            assert fact.unit_rows == {
+                (t, j): r
+                for (t, j), r in pipe.factorization.unit_rows.items()
+                if t < levels and t * d + j <= fact.valid_vbound
+            }
+
     def test_too_few_levels_rejected(self, pipeline):
         F = pipeline(2, 1).law
         red = reduced_p_series(F)
@@ -259,20 +277,34 @@ class TestEisenstein:
 
 def schoolbook_mul_oracle(ring, x, y):
     """Brute-force product: full polynomial multiplication followed by long
-    division by the monic g, all on coefficient lists."""
+    division by the monic g, all on coefficient rows."""
     d, p, M = ring.d, ring.p, ring.precision
-    full = [USeries.zero(p, M) for _ in range(2 * d - 1)]
+
+    def mul(a, b):
+        return np.convolve(a, b)[:M] % p
+
+    g = [np.array(c.coeffs) for c in ring.g.coefficients]
+    full = np.zeros((2 * d - 1, M), dtype=np.int64)
     for i in range(d):
         for j in range(d):
-            full[i + j] = full[i + j] + x.coeffs[i] * y.coeffs[j]
+            full[i + j] = (full[i + j] + mul(x.coeffs[i], y.coeffs[j])) % p
     for k in range(2 * d - 2, d - 1, -1):
-        c = full[k]
-        if c.is_zero():
+        c = full[k].copy()
+        if not c.any():
             continue
         # subtract c * a^(k - d) * g
         for i in range(d + 1):
-            full[k - d + i] = full[k - d + i] - c * ring.g.coefficients[i]
-    return tuple(full[:d])
+            full[k - d + i] = (full[k - d + i] - mul(c, g[i])) % p
+    return full[:d]
+
+
+def eisenstein_ring(p, d, M, seed):
+    """R for a random g, Eisenstein at (u), built directly; no pipeline."""
+    rng = random.Random(seed)
+    low = [[0, rng.randrange(1, p)] + [rng.randrange(p) for _ in range(M - 2)]]
+    low += [[0] + [rng.randrange(p) for _ in range(M - 1)] for _ in range(d - 1)]
+    coeffs = tuple(USeries(p, c) for c in low) + (USeries.one(p, M),)
+    return DvrRing(DistinguishedPoly(p=p, degree=d, coefficients=coeffs, levels=M))
 
 
 class TestDvrArithmetic:
@@ -287,23 +319,24 @@ class TestDvrArithmetic:
             d = ring.d
             lhs = ring.monomial(0, d - 1) * ring.a()
             want = schoolbook_mul_oracle(ring, ring.monomial(0, d - 1), ring.a())
-            assert lhs.coeffs == want
+            assert np.array_equal(lhs.coeffs, want)
             assert lhs.valuation() == d
 
     def test_mul_matches_schoolbook_random(self, pipeline):
-        ring = pipeline(2, 2).ring
-        rng = random.Random(17)
-        M, d, p = ring.precision, ring.d, ring.p
-        for _ in range(10):
-            def rand_elt():
-                return ring.from_rows(
-                    {
-                        (rng.randrange(4), rng.randrange(2 * d)): rng.randrange(1, p)
-                        for _ in range(5)
-                    }
-                )
-            x, y = rand_elt(), rand_elt()
-            assert (x * y).coeffs == schoolbook_mul_oracle(ring, x, y)
+        """On the (2,2) ring and on a synthetic p = 5, d = 20, M = 8 one."""
+        for ring in (pipeline(2, 2).ring, eisenstein_ring(5, 20, 8, seed=3)):
+            rng = random.Random(17)
+            d, p = ring.d, ring.p
+            for _ in range(10):
+                def rand_elt():
+                    return ring.from_rows(
+                        {
+                            (rng.randrange(4), rng.randrange(2 * d)): rng.randrange(1, p)
+                            for _ in range(5)
+                        }
+                    )
+                x, y = rand_elt(), rand_elt()
+                assert np.array_equal((x * y).coeffs, schoolbook_mul_oracle(ring, x, y))
 
     def test_valuation_additive_below_horizon(self, pipeline):
         ring = pipeline(3, 1).ring
@@ -385,7 +418,7 @@ class TestCombine:
             for (t, deg), r in rows.items():
                 want = want + ring.monomial(t, 0, r) * ring.a() ** deg
             got = ring.from_rows(rows)
-            assert got.coeffs == want.coeffs
+            assert np.array_equal(got.coeffs, want.coeffs)
             assert got.prec == ring.prec_cap
             assert ring.from_rows(rows, prec=7).prec == 7
 
