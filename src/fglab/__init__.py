@@ -27,7 +27,7 @@ from .fgl import (
     verify_fgl_congruences,
 )
 from .isogeny import FracElement, QuotientPSeries
-from .scalars import FpElement, PrimeField, USeries, reduce_mod_p
+from .scalars import USeries, reduce_mod_p
 from .series import MultiSeries
 from .verify import build_pipeline, run_verify
 
@@ -40,10 +40,8 @@ __all__ = [
     "DvrRing",
     "FglabError",
     "FormalGroupLaw",
-    "FpElement",
     "FracElement",
     "MultiSeries",
-    "PrimeField",
     "QuotientPSeries",
     "ReducedPowerOperator",
     "USeries",

@@ -122,18 +122,16 @@ def _rows_mul(r1: dict, r2: dict, tmax: int) -> dict:
     return out
 
 
-def _row_grid_mul(row: dict, c: int, grid: dict, tmax: int, w: int, vb: int) -> dict:
-    """c * row * grid."""
+def _row_grid_mul(row: dict, grid: dict, tmax: int, w: int, vb: int) -> dict:
     out: dict = {}
     for t_r, m_r in row.items():
-        mm = m_r * c
         for (t_b, deg), m_b in grid.items():
             t = t_r + t_b
             if t > tmax or t * w + deg > vb:
                 continue
             key = (t, deg)
             v = out.get(key)
-            out[key] = m_b * mm if v is None else v + m_b * mm
+            out[key] = m_b * m_r if v is None else v + m_b * m_r
     return out
 
 
@@ -294,7 +292,7 @@ def _power_pass(
             if l + offset < len(exp_rows):
                 row = exp_rows[l + offset]
                 scale = row.scale + power.scale
-                prod = _row_grid_mul(row.terms, 1, power.terms, tmax, uweight, vb)
+                prod = _row_grid_mul(row.terms, power.terms, tmax, uweight, vb)
                 for coefs, out in targets:
                     c = coefs[l]
                     out.absorb(scale, {k: m * c for k, m in prod.items()})
@@ -314,10 +312,11 @@ class ReducedLawData:
     """Everything the valuation-ring stage needs, already reduced mod p.
 
     Grids are dicts of residues: ``p_series_a`` and ``series_a[i]`` over keys
-    (t, a-degree); ``slab`` over (t, y-degree, x-degree); ``p_series_x`` over
-    (t, x-degree).  The kept region satisfies t*d + deg <= vbound (+ p^n for
-    the p-series), which pins down everything downstream modulo valuation
-    m^(vbound) of the valuation ring.
+    (t, a-degree); ``slab`` over (t, y-degree, x-degree); ``p_series_x``, the
+    part of ``p_series_a`` of degree <= x_cap, over (t, x-degree).  The kept
+    region satisfies t*d + deg <= vbound (+ p^n for the p-series), which pins
+    down everything downstream modulo valuation m^(vbound) of the valuation
+    ring.
     """
 
     config: ChromaticConfig
@@ -348,14 +347,15 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     # [i](a) = sum_l E_l i^l (log a)^l, and the slab's x^m coefficient
     # H_m(y) = sum_l E_(m+l) C(m+l, m) (log y)^l, in one pass over (log a)^l;
     # all the multiples i share one product E_l (log a)^l per power.
+    # H_0(y) = F(0, y) = y needs no pass.
     multiples = [p] + list(range(2, p)) + [-k for k in range(1, p)]
     series = {i: ScaledGrid(p) for i in multiples}
-    slab_h = [ScaledGrid(p) for _ in range(x_cap + 1)]
+    slab_h = [ScaledGrid(p, 0, {(0, 1): 1})] + [ScaledGrid(p) for _ in range(x_cap)]
     powers_of_i = [([i**l for l in range(a_cap + 1)], series[i]) for i in multiples]
     sums = [(0, a_cap, powers_of_i)]
     sums += [
-        (m, vbound, [([comb(m + l, m) for l in range(a_cap + 1)], h)])
-        for m, h in enumerate(slab_h)
+        (m, vbound, [([comb(m + l, m) for l in range(a_cap + 1)], slab_h[m])])
+        for m in range(1, x_cap + 1)
     ]
     log_a = _log_grid(ms, ulevels - 1, d, a_cap)
     _power_pass(p, d, ulevels, exp_rows, log_a, a_cap, sums)
@@ -365,22 +365,16 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     for i in multiples[1:]:
         series_a[i] = series[i].certify(f"[{i}](a)")
 
-    # The slab F(x, y) = sum_m (log x)^m H_m(y) and, on the small x side,
-    # [p](x) = sum_m p^m E_m (log x)^m walk the same chain of powers of log x.
-    # Only the totals are p-integral, so both are certified at the end.
+    # The slab F(x, y) = sum_m (log x)^m H_m(y); only the total is
+    # p-integral, so it is certified at the end.
     xt = min(ulevels - 1, vbound // d)
     log_x = _log_grid(ms, xt, 0, x_cap)
-    slab, p_x = ScaledGrid(p), ScaledGrid(p)
+    slab = ScaledGrid(p)
     power = ScaledGrid(p, 0, {(0, 0): 1})  # (log x)^m over keys (t, x-degree)
     for m, h in enumerate(slab_h):
         slab.absorb(
             h.scale + power.scale,
             _slab_mul(power.terms, h.terms, ulevels - 1, d, vbound),
-        )
-        row = exp_rows[m]  # E_0 = 0
-        p_x.absorb(
-            row.scale + power.scale,
-            _row_grid_mul(row.terms, p**m, power.terms, xt, 0, x_cap),
         )
         if m < x_cap:
             power = ScaledGrid(
@@ -398,5 +392,10 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
         p_series_a=p_series_a,
         series_a=series_a,
         slab=slab.certify("addition slab"),
-        p_series_x=p_x.certify("[p](x)"),
+        # [p](x) up to x_cap is a slice of [p](a).  It differs from the
+        # untruncated series only at t*d + deg > a_cap, so at t >= M, while
+        # the isogeny stage reads t <= M - 1 only: (M - 1)*d + x_cap <= a_cap
+        # since x_cap <= 3d + p^n, i.e. p + 2 <= 2 p^n (p - 1), for every
+        # p >= 2 and n >= 1.
+        p_series_x={k: r for k, r in p_series_a.items() if k[1] <= x_cap},
     )

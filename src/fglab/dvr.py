@@ -50,9 +50,8 @@ from .errors import (
     PrecisionExhausted,
     PrecisionMismatch,
 )
-from .fgl import FormalGroupLaw
-from .scalars import USeries, reduce_mod_p
-from .series import MultiSeries, PrimeFieldRing
+from .fgl import FormalGroupLaw, i_series, reduce_series
+from .scalars import USeries
 
 
 # ---------------------------------------------------------------------------
@@ -60,35 +59,19 @@ from .series import MultiSeries, PrimeFieldRing
 # uses bigseries data instead.
 
 
-def reduce_to_un(F: FormalGroupLaw) -> MultiSeries:
-    """The addition law with u_1..u_{n-1} set to 0 and coefficients mod p;
-    variables (x, y, un)."""
+def reduce_to_un(F: FormalGroupLaw) -> dict:
+    """The addition law mod (p, u_1..u_{n-1}) as a (t, y-degree, x-degree)
+    grid of residues, the layout of the big-series slab."""
     kill = [f"u{j}" for j in range(1, F.config.n)]
-    return F.reduced_addition.substitute_zero(kill)
+    red = reduce_series(F.addition, F.config.p, kill)  # (x, y, un)
+    return {(e[2], e[1], e[0]): r for e, r in red.items()}
 
 
-def reduced_p_series(F: FormalGroupLaw) -> MultiSeries:
-    """[p](x) mod (p, u_1..u_{n-1}); variables (x, un)."""
-    from .fgl import i_series
-
-    ser = i_series(F, F.config.p)
-    red = ser.map_coefficients(
-        lambda c: reduce_mod_p(c, F.config.p), PrimeFieldRing(F.config.p)
-    )
-    return red.substitute_zero([f"u{j}" for j in range(1, F.config.n)])
-
-
-def rows_from_reduced_series(ms: MultiSeries, formal_var: str = "x") -> dict:
-    """Convert a reduced univariate series (formal_var, un) to (t, deg) rows."""
-    vi = ms.variables.index(formal_var)
-    others = [i for i, v in enumerate(ms.variables) if i != vi]
-    if len(others) > 1:
-        raise ValueError("expected a univariate series over one u-variable")
-    out = {}
-    for e, c in ms.terms.items():
-        t = e[others[0]] if others else 0
-        out[(t, e[vi])] = c.residue
-    return out
+def reduced_p_series(F: FormalGroupLaw) -> dict:
+    """[p](x) mod (p, u_1..u_{n-1}) as a (t, a-degree) grid of residues."""
+    kill = [f"u{j}" for j in range(1, F.config.n)]
+    red = reduce_series(i_series(F, F.config.p), F.config.p, kill)  # (x, un)
+    return {(e[1], e[0]): r for e, r in red.items()}
 
 
 # ---------------------------------------------------------------------------

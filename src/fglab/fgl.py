@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import IntegralityFailure
 from .scalars import is_p_integral, reduce_mod_p, validate_prime
-from .series import MultiSeries, PrimeFieldRing, RationalRing
+from .series import MultiSeries, RationalRing
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def hazewinkel_coefficients(cfg: ChromaticConfig, jmax: int) -> list[MultiSeries
 
 @dataclass(frozen=True)
 class FormalGroupLaw:
-    """The constructed law: exact-rational data plus its mod-p reduction.
+    """The constructed law, over the exact rationals.
 
     ``addition`` has variables (x, y, u1..un); ``log_series`` and
     ``exp_series`` have variables (x, u1..un).  All invariants (unit,
@@ -156,7 +156,6 @@ class FormalGroupLaw:
     log_series: MultiSeries
     exp_series: MultiSeries
     addition: MultiSeries
-    reduced_addition: MultiSeries
     axiom_rows: tuple = field(compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -207,9 +206,6 @@ def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
             raise IntegralityFailure(
                 f"coefficient {c} of exponent {e} is not {p}-integral"
             )
-    reduced = addition.map_coefficients(
-        lambda c: reduce_mod_p(c, p), PrimeFieldRing(p)
-    )
 
     axiom_rows = tuple(fgl_axiom_checks(addition))
     for row in axiom_rows:
@@ -222,7 +218,6 @@ def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
         log_series=log_x,
         exp_series=exp_x,
         addition=addition,
-        reduced_addition=reduced,
         axiom_rows=axiom_rows,
     )
 
@@ -282,6 +277,23 @@ def i_series(F: FormalGroupLaw, i: int) -> MultiSeries:
     else:
         out = formal_inverse(F).compose({"x": i_series(F, -i)})
     cache[i] = out
+    return out
+
+
+def reduce_series(ms: MultiSeries, p: int, kill) -> dict:
+    """The residues of a rational series with the ``kill`` variables set to 0:
+    {exponents over the remaining variables: nonzero residue mod p}.
+
+    This is the exact-rational stage's one way out to F_p, the counterpart
+    of ``ScaledGrid.certify``: a coefficient that is not p-integral raises
+    NotPIntegral.  Killing first reduces fewer coefficients and is exact,
+    since setting variables to 0 drops terms without merging any.
+    """
+    out = {}
+    for e, c in ms.substitute_zero(kill).terms.items():
+        r = reduce_mod_p(c, p)
+        if r:
+            out[e] = r
     return out
 
 
@@ -379,42 +391,41 @@ def iseries_congruence(F: FormalGroupLaw, i: int, k: int) -> tuple:
     """Check [i](x) = i x + u_k gamma_{i,k} x^(p^k) mod (p, u_1..u_{k-1}, x^(p^k+1))
     for 1 <= k <= n+1, reading u_{n+1} = 1 in the top case k = n+1.
 
-    Returns the check row and the residue of [i](x) that it compared.
+    Returns the check row and the residue of [i](x) that it compared, as a
+    series with integer coefficients in [0, p).  Residue tables and defects
+    render through ``MultiSeries.render``.
     """
     cfg = F.config
     p, n = cfg.p, cfg.n
     q = p**k
-    red = i_series(F, i).map_coefficients(lambda c: reduce_mod_p(c, p), PrimeFieldRing(p))
-    got = red.substitute_zero([f"u{j}" for j in range(1, k)]).truncate_formal(q)
-    keep_vars, fp = got.variables, got.ring
-    expect_terms = {}
-    if i % p:
-        expect_terms[tuple(int(v == "x") for v in keep_vars)] = fp.from_int(i)
+    ser = i_series(F, i)
+    kill = [f"u{j}" for j in range(1, k)]
+    keep_vars = tuple(v for v in ser.variables if v not in kill)
+    got = {e: r for e, r in reduce_series(ser, p, kill).items() if e[0] <= q}
+    linear = {tuple(int(v == "x") for v in keep_vars): i % p} if i % p else {}
     # u_{n+1} is not among keep_vars, so at k = n+1 this is the key of x^q.
     e_top = tuple(q if v == "x" else int(v == f"u{k}") for v in keep_vars)
-    gk = reduce_mod_p(gamma(i, k, p), p)
-    if gk.residue:
-        expect_terms[e_top] = gk
-    defect = got - MultiSeries(fp, keep_vars, q, expect_terms)
-    ok = defect.is_zero()
+
+    def expected(reading: int) -> dict:
+        g = reduce_mod_p(gamma(i, reading, p), p)
+        return {**linear, e_top: g} if g else linear
+
+    want = expected(k)
+    ok = got == want
     uk = f"u{k}*" if k <= n else ""
     detail = (f"[{i}](x) = {i}x + {uk}gamma({i},{k})*x^{q} "
               f"mod {ideal_text(k - 1, f'x^{q + 1}', with_p=True)}")
     if not ok and k > n:
         # Diagnose whether some other exponent reading would have passed.
         for alt in range(1, n + 1):
-            galt = reduce_mod_p(gamma(i, alt, p), p)
-            alt_terms = dict(expect_terms)
-            alt_terms.pop(e_top, None)
-            if galt.residue:
-                alt_terms[e_top] = galt
-            if (got - MultiSeries(fp, keep_vars, q, alt_terms)).is_zero():
+            if got == expected(alt):
                 detail += f" [note: exponent reading k={alt} would pass]"
                 break
+    defect = {e: (got.get(e, 0) - want.get(e, 0)) % p for e in got.keys() | want.keys()}
     row = CheckRow(
         f"iseries_congruence_i{i}_{k_label(k, n)}",
         ok,
         detail=detail,
-        defect="" if ok else defect.render(),
+        defect="" if ok else MultiSeries(QQ, keep_vars, q, defect).render(),
     )
-    return row, got
+    return row, MultiSeries(QQ, keep_vars, q, got)

@@ -241,15 +241,13 @@ def quotient_p_series(
         prod = _xseries_mul(ring, prod, phi, x_cap)
     f = [ring.zero()] + prod[:x_cap]
 
-    # Left-hand product [p](x) * prod_k phi_k([p](x)).
+    # Left-hand product [p](x) * prod_k phi_k([p](x)) = f([p](x)).
     P = [
         ring.from_rows({(t, 0): r for (t, deg), r in p_series_x.items() if deg == i})
         for i in range(x_cap + 1)
     ]
     p_powers = _xseries_powers(ring, P, x_cap)
-    lhs = P
-    for phi in phis:
-        lhs = _xseries_mul(ring, lhs, _xseries_compose(ring, phi, p_powers, x_cap), x_cap)
+    lhs = _xseries_compose(ring, f, p_powers, x_cap)
 
     # Triangular solve: Q_k = (lhs_k - sum_{j<k} Q_j [f^j]_k) / f_1^k.
     f_powers = _xseries_powers(ring, f, x_cap)

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: p-local rationals, prime fields, truncated u-series.
+"""Exact scalar arithmetic: p-local rationals, residues mod p, truncated u-series.
 
 Three coefficient domains underpin everything else here:
 
@@ -7,7 +7,9 @@ Three coefficient domains underpin everything else here:
   arbitrary precision).  p-locality is a *certificate* checked at the moment a
   rational is reduced mod p, never assumed.
 
-* the prime field F_p, as :class:`FpElement` values tied to a validated prime,
+* the prime field F_p, as plain int residues in [0, p): what
+  :func:`reduce_mod_p` returns, and what every grid, u-series and ring
+  element stores.
 
 * F_p[[u]] / (u^M): truncated power series in one variable u over F_p, as
   :class:`USeries`.  The coefficient list has fixed length M and every stated
@@ -49,8 +51,9 @@ def is_p_integral(value: RationalLike, p: int) -> bool:
     return Fraction(value).denominator % p != 0
 
 
-def reduce_mod_p(value: RationalLike, p: int) -> "FpElement":
-    """Reduce a p-integral rational mod p: numerator * denominator^(-1) mod p.
+def reduce_mod_p(value: RationalLike, p: int) -> int:
+    """Reduce a p-integral rational mod p: the residue numerator *
+    denominator^(-1) mod p, in [0, p).
 
     Raises NotPIntegral when p divides the denominator; that always signals a
     failed integrality certification upstream, e.g. a wrongly constructed
@@ -59,106 +62,7 @@ def reduce_mod_p(value: RationalLike, p: int) -> "FpElement":
     q = Fraction(value)
     if q.denominator % p == 0:
         raise NotPIntegral(f"{q} is not p-integral at p={p}")
-    residue = q.numerator * pow(q.denominator, -1, p) % p
-    return FpElement(residue, p)
-
-
-class FpElement:
-    """An element of F_p, stored as the canonical residue in [0, p)."""
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, residue: int, p: int):
-        self.residue = residue % p
-        self.p = p
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.residue + other.residue, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.residue - other.residue, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.residue * other.residue, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.residue, self.p)
-
-    def __pow__(self, e: int):
-        return FpElement(pow(self.residue, e, self.p), self.p)
-
-    def inverse(self) -> "FpElement":
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return FpElement(pow(self.residue, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __repr__(self):
-        return f"FpElement({self.residue}, p={self.p})"
-
-    def __str__(self):
-        return str(self.residue)
-
-
-class PrimeField:
-    """The field F_p; hands out elements and validates p once."""
-
-    __slots__ = ("p", "zero", "one")
-
-    def __init__(self, p: int):
-        self.p = validate_prime(p)
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
-
-    def from_int(self, k: int) -> FpElement:
-        return FpElement(k, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 class USeries:

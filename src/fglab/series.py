@@ -13,7 +13,9 @@ formal degrees sum past the cap.
 
 The scalar ring is pluggable: anything with ``zero``, ``one``, ``from_int``,
 ``is_zero`` and ``inv`` works, with scalar values combined through their own
-operators.  Adapters for the exact rationals and F_p live here.
+operators.  The exact rationals are the one adapter: series live in the
+exact-rational stage, which hands residues mod p out as plain int grids
+(``fgl.reduce_series``), never as series over F_p.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     NonzeroConstantTerm,
     VariableMismatch,
 )
-from .scalars import FpElement, PrimeField
 
 FORMAL_NAMES = ("x", "y", "z", "a")
 
@@ -60,36 +61,6 @@ class RationalRing:
 
     def __repr__(self):
         return "RationalRing()"
-
-
-class PrimeFieldRing:
-    """Scalar adapter for F_p."""
-
-    def __init__(self, p: int):
-        self.field = PrimeField(p)
-        self.p = self.field.p
-        self.zero = self.field.zero
-        self.one = self.field.one
-
-    def from_int(self, k: int) -> FpElement:
-        return self.field.from_int(k)
-
-    @staticmethod
-    def is_zero(c: FpElement) -> bool:
-        return c.residue == 0
-
-    @staticmethod
-    def inv(c: FpElement) -> FpElement:
-        return c.inverse()
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeFieldRing) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeFieldRing", self.p))
-
-    def __repr__(self):
-        return f"PrimeFieldRing({self.p})"
 
 
 class MultiSeries:
@@ -329,14 +300,6 @@ class MultiSeries:
         return self._wrap(
             {e: c for e, c in self.terms.items() if self.formal_degree(e) == degree}
         )
-
-    def map_coefficients(self, fn, ring) -> "MultiSeries":
-        out = {}
-        for e, c in self.terms.items():
-            nc = fn(c)
-            if not ring.is_zero(nc):
-                out[e] = nc
-        return MultiSeries(ring, self.variables, self.formal_cap, out)
 
     # -- reversion -------------------------------------------------------------
 

@@ -32,7 +32,6 @@ from .dvr import (
     reconstruction_defect,
     reduce_to_un,
     reduced_p_series,
-    rows_from_reduced_series,
     weierstrass_from_rows,
 )
 from .errors import DeskScaleExceeded
@@ -179,8 +178,7 @@ def reduced_series_rows(pipe: Pipeline) -> list:
     cfg = pipe.config
     p, n = cfg.p, cfg.n
     rows = []
-    red = reduced_p_series(pipe.law)  # vars (x, un)
-    grid = rows_from_reduced_series(red)
+    grid = reduced_p_series(pipe.law)
     low = {k: v for k, v in grid.items() if k[1] <= p**n}
     expect_low = {(1, p**n): 1}
     rows.append(
@@ -222,20 +220,11 @@ def reduced_series_rows(pipe: Pipeline) -> list:
         )
     )
 
-    red_add = reduce_to_un(pipe.law)  # (x, y, un)
-    slab_small = {}
-    for e, c in red_add.terms.items():
-        slab_small[(e[2], e[1], e[0])] = c.residue
-    big_slab = {
-        k: v
-        for k, v in pipe.data.slab.items()
-        if k[1] + k[2] <= D and k[2] <= cfg.isogeny_x_cap and k[0] * d + k[1] <= vb
-    }
-    small_slab = {
-        k: v
-        for k, v in slab_small.items()
-        if k[1] + k[2] <= D and k[2] <= cfg.isogeny_x_cap and k[0] * d + k[1] <= vb
-    }
+    def on_slab_overlap(k) -> bool:
+        return k[1] + k[2] <= D and k[2] <= cfg.isogeny_x_cap and k[0] * d + k[1] <= vb
+
+    big_slab = {k: v for k, v in pipe.data.slab.items() if on_slab_overlap(k)}
+    small_slab = {k: v for k, v in reduce_to_un(pipe.law).items() if on_slab_overlap(k)}
     rows.append(
         _row(
             "route_agreement_addition",

@@ -7,9 +7,7 @@ import pytest
 
 from fglab.bigseries import ScaledGrid, reduced_exp_rows, reduced_log_rows
 from fglab.errors import IntegralityFailure
-from fglab.fgl import i_series
-from fglab.scalars import reduce_mod_p
-from fglab.series import PrimeFieldRing
+from fglab.fgl import ChromaticConfig, i_series, reduce_series
 
 
 def fraction_log_oracle(p, n, jmax):
@@ -59,15 +57,13 @@ def test_exp_rows_match_rational_reversion(pipeline, p, n):
 
 def small_route_pseries(F):
     cfg = F.config
-    ser = i_series(F, cfg.p)
-    red = ser.map_coefficients(lambda c: reduce_mod_p(c, cfg.p), PrimeFieldRing(cfg.p))
-    red = red.substitute_zero([f"u{j}" for j in range(1, cfg.n)])
-    return {(e[1], e[0]): c.residue for e, c in red.terms.items()}
+    red = reduce_series(i_series(F, cfg.p), cfg.p, [f"u{j}" for j in range(1, cfg.n)])
+    return {(e[1], e[0]): r for e, r in red.items()}
 
 
 def small_route_slab(F):
-    red = F.reduced_addition.substitute_zero([f"u{j}" for j in range(1, F.config.n)])
-    return {(e[2], e[1], e[0]): c.residue for e, c in red.terms.items()}
+    red = reduce_series(F.addition, F.config.p, [f"u{j}" for j in range(1, F.config.n)])
+    return {(e[2], e[1], e[0]): r for e, r in red.items()}
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
@@ -104,14 +100,8 @@ def test_iseries_rows_agree_with_rational_route(pipeline, p, n):
     cfg, data, F = pipe.config, pipe.data, pipe.law
     d, vb, D = data.d, data.vbound, cfg.formal_cap
     for i in list(range(1, p)) + [-k for k in range(1, p)]:
-        ser = i_series(F, i)
-        red = ser.map_coefficients(lambda c: reduce_mod_p(c, p), PrimeFieldRing(p))
-        red = red.substitute_zero([f"u{j}" for j in range(1, n)])
-        small = {
-            (e[1], e[0]): c.residue
-            for e, c in red.terms.items()
-            if e[1] * d + e[0] <= vb
-        }
+        red = reduce_series(i_series(F, i), p, [f"u{j}" for j in range(1, n)])
+        small = {(e[1], e[0]): r for e, r in red.items() if e[1] * d + e[0] <= vb}
         big = {
             k: v
             for k, v in data.series_a[i].items()
@@ -120,12 +110,16 @@ def test_iseries_rows_agree_with_rational_route(pipeline, p, n):
         assert big == small, f"[{i}](a) differs"
 
 
-def test_pseries_x_matches_pseries_a_shape(pipeline):
-    """[p](x) on the x side agrees with [p](a) where both are defined."""
-    data = pipeline(2, 1).data
-    for (t, deg), v in data.p_series_x.items():
-        if deg <= data.x_cap and t * data.d + deg <= data.vbound:
-            assert data.p_series_a.get((t, deg)) == v
+def test_pseries_x_slice_exact_on_read_levels():
+    """p_series_x is [p](a) cut at x_cap, exact where t*d + deg <= a_cap =
+    (M + 2)d + p^n.  The isogeny stage reads t <= M - 1, all inside that
+    region iff x_cap <= 3d + p^n, i.e. 2 p^n (p - 1) >= p + 2."""
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        for n in range(1, 5):
+            cfg = ChromaticConfig(p, n)
+            d = cfg.eisenstein_degree
+            assert cfg.isogeny_x_cap <= 3 * d + p**n, (p, n)
+            assert 2 * p**n * (p - 1) >= p + 2, (p, n)
 
 
 def test_slab_unit_rows(pipeline):

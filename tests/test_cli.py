@@ -197,3 +197,11 @@ class TestGoldens:
     def test_pseries_negative_i_max_is_usage_error(self, capsys):
         assert main(["pseries", "--p", "2", "--n", "1", "--i-max", "-1"]) == 2
         assert "--i-max" in capsys.readouterr().err
+
+
+def test_package_exports_resolve():
+    import fglab
+
+    assert len(set(fglab.__all__)) == len(fglab.__all__)
+    missing = [name for name in fglab.__all__ if not hasattr(fglab, name)]
+    assert not missing

@@ -12,12 +12,11 @@ from fglab.dvr import (
     reconstruction_defect,
     reduce_to_un,
     reduced_p_series,
-    rows_from_reduced_series,
     weierstrass_from_rows,
 )
 from fglab.errors import InexactDivision, NotPreparable
 from fglab.fgl import ChromaticConfig, build_fgl
-from fglab.scalars import USeries
+from fglab.scalars import USeries, reduce_mod_p
 
 
 # -- small-cap reductions ----------------------------------------------------
@@ -25,16 +24,19 @@ from fglab.scalars import USeries
 
 class TestReduceToUn:
     def test_n1_kills_nothing(self, pipeline):
+        # One (t, y-degree, x-degree) entry per term of F with a nonzero residue.
         F = pipeline(2, 1).law
-        red = reduce_to_un(F)
-        assert red.variables == ("x", "y", "u1")
-        assert set(F.reduced_addition.variables) == set(red.variables)
+        grid = reduce_to_un(F)
+        assert F.addition.variables == ("x", "y", "u1")
+        nonzero = {(e[2], e[1], e[0]) for e, c in F.addition.terms.items() if reduce_mod_p(c, 2)}
+        assert set(grid) == nonzero
+        assert grid[(0, 0, 1)] == 1 and grid[(0, 1, 0)] == 1
 
     def test_reduced_pseries_leading(self, pipeline):
         # [p](a) = u * a^(p^n) mod a^(p^n + 1)
         for (p, n) in [(2, 1), (3, 1), (2, 2)]:
             F = pipeline(p, n).law
-            rows = rows_from_reduced_series(reduced_p_series(F))
+            rows = reduced_p_series(F)
             low = {k: v for k, v in rows.items() if k[1] <= p**n}
             assert low == {(1, p**n): 1}
 
@@ -42,7 +44,7 @@ class TestReduceToUn:
         # [p](a) = a^(p^(n+1)) mod (u, a^(p^(n+1) + 1))
         for (p, n) in [(2, 1), (2, 2)]:
             F = pipeline(p, n).law
-            rows = rows_from_reduced_series(reduced_p_series(F))
+            rows = reduced_p_series(F)
             top = {k: v for k, v in rows.items() if k[0] == 0 and k[1] <= p ** (n + 1)}
             assert top == {(0, p ** (n + 1)): 1}
 
@@ -194,9 +196,8 @@ class TestWeierstrass:
         and agrees with the deep route on the levels it can honestly solve."""
         cfg = ChromaticConfig(2, 1, formal_cap=10)  # depth 10 supports 3 levels
         F = build_fgl(cfg)
-        red = reduced_p_series(F)
         fact_small = weierstrass_from_rows(
-            2, rows_from_reduced_series(red), 2, 2, 3, 3, depth=red.formal_cap
+            2, reduced_p_series(F), 2, 2, 3, 3, depth=F.config.formal_cap
         )
         data = build_reduced_law_data(cfg)
         fact_deep = weierstrass_from_rows(
@@ -229,10 +230,9 @@ class TestWeierstrass:
 
     def test_too_few_levels_rejected(self, pipeline):
         F = pipeline(2, 1).law
-        red = reduced_p_series(F)
         with pytest.raises(NotPreparable):
             weierstrass_from_rows(
-                2, rows_from_reduced_series(red), 2, 2, 1, 1, depth=red.formal_cap
+                2, reduced_p_series(F), 2, 2, 1, 1, depth=F.config.formal_cap
             )
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import fglab.fgl
-from fglab.errors import IntegralityFailure
+from fglab.cli import main
+from fglab.errors import FglabError, IntegralityFailure
 from fglab.fgl import (
     CheckRow,
     ChromaticConfig,
@@ -14,10 +15,12 @@ from fglab.fgl import (
     formal_inverse,
     gamma,
     i_series,
+    reduce_series,
     verify_fgl_congruences,
 )
 from fglab.scalars import reduce_mod_p
 from fglab.series import MultiSeries, RationalRing
+from fglab.verify import run_pseries_command
 
 QQ = RationalRing()
 
@@ -82,7 +85,7 @@ class TestGamma:
         for p in (2, 3, 5, 7):
             for k in (1, 2):
                 g = gamma(p, k, p)
-                assert reduce_mod_p(g, p).residue == 1
+                assert reduce_mod_p(g, p) == 1
 
 
 class TestBuildFgl:
@@ -132,7 +135,7 @@ class TestISeries:
         F = pipeline(2, 1).law
         s = i_series(F, 2)
         # [2](x) = 2x + u1*gamma(2,1)*x^2 mod (2, x^3); gamma(2,1) = -1 = 1 mod 2
-        assert reduce_mod_p(s.coefficient(x=2, u1=1), 2).residue == 1
+        assert reduce_mod_p(s.coefficient(x=2, u1=1), 2) == 1
         assert s.coefficient(x=1) == 2
 
     def test_addition_of_multiples_oracle(self, pipeline):
@@ -203,3 +206,48 @@ class TestCertifiedOnce:
         G = dataclasses.replace(F, axiom_rows=())
         assert G == F
         assert hash(G) == hash(F)
+
+
+def _patched_i_series(monkeypatch, i: int, edit):
+    """Make fglab.fgl.i_series(F, i) return a series with terms edit(its terms)."""
+    real = fglab.fgl.i_series
+
+    def patched(F, j):
+        s = real(F, j)
+        if j != i:
+            return s
+        return MultiSeries(s.ring, s.variables, s.formal_cap, edit(dict(s.terms)))
+
+    monkeypatch.setattr(fglab.fgl, "i_series", patched)
+
+
+class TestReduceSeries:
+    def test_kills_then_reduces(self):
+        s = MultiSeries(QQ, ("x", "u1", "u2"), 4, {
+            (1, 0, 0): Fraction(-1),
+            (2, 1, 0): Fraction(1, 3),
+            (2, 0, 1): Fraction(5),
+            (3, 0, 1): Fraction(4),
+        })
+        assert reduce_series(s, 2, ["u1"]) == {(1, 0): 1, (2, 1): 1}
+        assert reduce_series(s, 5, ["u1"]) == {(1, 0): 4, (3, 1): 4}
+
+    def test_not_p_integral_raises(self):
+        s = MultiSeries(QQ, ("x", "u1"), 4, {(1, 0): Fraction(1), (2, 1): Fraction(1, 2)})
+        with pytest.raises(FglabError):
+            reduce_series(s, 2, [])
+
+    def test_not_p_integral_exits_one(self, monkeypatch, capsys):
+        _patched_i_series(monkeypatch, 2, lambda t: {**t, (2, 1): Fraction(1, 2)})
+        assert main(["pseries", "--p", "2", "--n", "1", "--i-max", "2"]) == 1
+        assert "not p-integral" in capsys.readouterr().err
+
+    def test_dropped_term_defect_is_a_residue(self, monkeypatch):
+        """[2](x) = 2x + u1*x^3 mod (3, x^4); without its u1*x^3 term the
+        defect is 0 - 1 = 2 mod 3."""
+        _patched_i_series(monkeypatch, 2, lambda t: {e: c for e, c in t.items() if e != (3, 1)})
+        rep = run_pseries_command(3, 1, i_max=2)
+        row = next(r for r in rep.checks if r.name == "pseries_row_i2_k1")
+        assert row.status == "fail"
+        assert row.detail == "[2](x) = 2*x mod (p, x^4)"
+        assert row.defect == "2*x^3*u1"
