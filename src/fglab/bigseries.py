@@ -29,6 +29,20 @@ working modulo it is exact ring arithmetic, and vbound = (M+2)*d (+ p^n for
 the p-series) is deep enough to determine g modulo u^M (see the preparation
 routine in the dvr module).
 
+Grading and the triangle layout: every term u^t * a^k of a weight-w series
+here has k = w + (p^n - 1) t + (p^(n+1) - 1) j, where j is the exponent of
+v_(n+1), which the recursion above sets to 1 (the m_(j-n-1) term).  The law is
+homogeneous over Z_(p)[v_n, v_(n+1)] and its coefficients are polynomials, so
+j >= 0.  The weights are l for (log a)^l, 1 for [i](a) and 1 - m for H_m,
+the slab's x^m coefficient.
+Since d + p^n - 1 = p^(n+1) - 1, the truncation t*d + k <= vbound becomes
+t + j <= N = (vbound - w) // (p^(n+1) - 1): each grid is a polynomial in
+(t, j) cut at total degree N.  The power pass keeps (log a)^l and its sums as
+object arrays of Python ints indexed (t, g) with g = t + j <= N and t below the
+u-level count; cells with t > g stay zero.  Multiplying by a sparse factor
+shifts the array by each term's (t, g), one slice update per term, and the
+slices end at the array's bounds, so truncated cells are never formed.
+
 The two routes to the same law (this module versus the exact-rational
 bivariate construction) overlap on low degrees; their agreement there is
 asserted by the test suite.
@@ -39,8 +53,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import IntegralityFailure
+import numpy as np
+
+from .errors import IntegralityFailure, OffGrading
 from .fgl import ChromaticConfig
+
+
+def _shared_p_power(p: int, cap: int, mantissas) -> int:
+    """The largest g <= cap such that p^g divides every mantissa."""
+    g = cap
+    for m in mantissas:
+        if g == 0:
+            break
+        k = 0
+        while k < g and m % p == 0:
+            m //= p
+            k += 1
+        g = k
+    return g
 
 
 class ScaledGrid:
@@ -75,19 +105,10 @@ class ScaledGrid:
     def strip(self) -> "ScaledGrid":
         """Drop zero mantissas and divide out the largest common p-power, down
         to scale 0 at most.  The result depends only on the exact values."""
-        p = self.p
         terms = {k: m for k, m in self.terms.items() if m}
-        g = self.scale
-        for m in terms.values():
-            if g == 0:
-                break
-            k = 0
-            while k < g and m % p == 0:
-                m //= p
-                k += 1
-            g = k
+        g = _shared_p_power(self.p, self.scale, terms.values())
         if g:
-            q = p**g
+            q = self.p**g
             terms = {k: m // q for k, m in terms.items()}
         self.terms, self.scale = terms, self.scale - g
         return self
@@ -119,19 +140,6 @@ def _rows_mul(r1: dict, r2: dict, tmax: int) -> dict:
             t = t1 + t2
             if t <= tmax:
                 out[t] = out.get(t, 0) + m1 * m2
-    return out
-
-
-def _row_grid_mul(row: dict, grid: dict, tmax: int, w: int, vb: int) -> dict:
-    out: dict = {}
-    for t_r, m_r in row.items():
-        for (t_b, deg), m_b in grid.items():
-            t = t_r + t_b
-            if t > tmax or t * w + deg > vb:
-                continue
-            key = (t, deg)
-            v = out.get(key)
-            out[key] = m_b * m_r if v is None else v + m_b * m_r
     return out
 
 
@@ -266,45 +274,141 @@ def _log_grid(ms: list, tmax: int, w: int, vb: int) -> ScaledGrid:
     return out
 
 
+def _grade(what: str, t: int, k: int, w: int, p: int, n: int) -> int:
+    """Total grade t + j of the weight-w term u^t * a^k, where
+    k = w + (p^n - 1) t + (p^(n+1) - 1) j with j >= 0."""
+    j, r = divmod(k - w - (p**n - 1) * t, p ** (n + 1) - 1)
+    if r or j < 0:
+        raise OffGrading(
+            f"{what}: key {(t, k)} is off the weight-{w} grading; "
+            "the construction is broken"
+        )
+    return t + j
+
+
+def _zero_triangle(p: int, n: int, w: int, vb: int, tmax: int):
+    """Zero cells for rows t <= tmax and columns g <= N of the weight-w
+    triangle t*d + k <= vb, i.e. t + j <= N = (vb - w) // (p^(n+1) - 1)."""
+    N = (vb - w) // (p ** (n + 1) - 1)
+    return np.zeros((min(tmax, N) + 1, N + 1), dtype=object)
+
+
+def _triangle_mul(out, terms: list, cells, f: int):
+    """Add f times the product of a sparse factor, terms (t, g, mantissa),
+    with the triangle ``cells`` into ``out``: one slice update per term.  The
+    slice bounds are the truncation, so no cell outside ``out`` is formed."""
+    rows, cols = out.shape
+    h0, w0 = cells.shape
+    for t, g, m in terms:
+        # Cells [t, g] with t > g are zero (j < 0): rows past w add nothing.
+        w = min(w0, cols - g)
+        h = min(h0, rows - t, w)
+        if h > 0:
+            out[t : t + h, g : g + w] += (m * f) * cells[:h, :w]
+    return out
+
+
+_UNIT = [(0, 0, 1)]
+
+
+class TriangleGrid:
+    """A weight-w grid on the graded triangle: values mantissa * p^(-scale)
+    with the mantissas Python ints in an object array indexed (t, g).  The
+    same scale discipline as ``ScaledGrid``."""
+
+    __slots__ = ("p", "scale", "cells")
+
+    def __init__(self, p: int, scale: int, cells):
+        self.p = p
+        self.scale = scale
+        self.cells = cells
+
+    def absorb(self, scale: int, c: int, terms: list, cells):
+        """Add c * (terms x cells), mantissas given at ``scale``, lifting
+        whichever side has the smaller scale."""
+        if scale > self.scale:
+            self.cells *= self.p ** (scale - self.scale)
+            self.scale = scale
+        _triangle_mul(self.cells, terms, cells, c * self.p ** (self.scale - scale))
+
+    def strip(self) -> "TriangleGrid":
+        """``ScaledGrid.strip`` on the cells."""
+        g = _shared_p_power(self.p, self.scale, self.cells[self.cells != 0])
+        if g:
+            self.cells //= self.p**g
+            self.scale -= g
+        return self
+
+    def ungraded(self, w: int, n: int) -> ScaledGrid:
+        """The nonzero cells as a (t, degree) ``ScaledGrid``."""
+        p = self.p
+        ts, gs = np.nonzero(self.cells)
+        return ScaledGrid(
+            p,
+            self.scale,
+            {
+                (t, w + (p**n - 1) * t + (p ** (n + 1) - 1) * (g - t)): self.cells[t, g]
+                for t, g in zip(ts.tolist(), gs.tolist())
+            },
+        )
+
+
 def _power_pass(
     p: int,
-    uweight: int,
+    n: int,
     ulevels: int,
     exp_rows: list,
-    base: ScaledGrid,
+    log_a: ScaledGrid,
     lmax: int,
     sums: list,
-):
-    """Single pass over powers base^l, l <= lmax, feeding every sum.
+) -> list:
+    """Single pass over the powers (log a)^l, l <= lmax, feeding every sum.
 
-    Each sum is (offset, vbound, targets): every (coefs, out) in ``targets``
-    accumulates coefs[l] * E_(l + offset) * base^l on the region
-    t*uweight + deg <= vbound.  The product E_(l + offset) * base^l is formed
-    once per sum and power; each target absorbs it scaled by its coefs[l].
-    The running power is stripped after each step to keep scales (hence
-    mantissa sizes) bounded.
+    Each sum is (offset, vbound, coefficient lists); per list ``coefs`` it
+    returns sum_l coefs[l] * E_(l + offset) * (log a)^l, a weight
+    1 - offset grid on t*d + deg <= vbound.  A sum with one list absorbs
+    E_(l + offset) * (log a)^l straight into it; with several, the product is
+    formed once per power and absorbed by each.  The running power is
+    stripped after each step to keep scales (hence mantissa sizes) bounded.
     """
     tmax = ulevels - 1
     pow_vbound = max(vb for _, vb, _ in sums)
-    power = ScaledGrid(p, 0, {(0, 0): 1})
+
+    def zeros(w: int, vb: int):
+        return _zero_triangle(p, n, w, vb, tmax)
+
+    rows = [
+        [(t, _grade(f"E_{K}", t, K, 1, p, n), m) for t, m in row.terms.items()]
+        for K, row in enumerate(exp_rows)
+    ]
+    base = [(t, _grade("log a", t, k, 1, p, n), m) for (t, k), m in log_a.terms.items()]
+    outs = [
+        [TriangleGrid(p, 0, zeros(1 - offset, vb)) for _ in coef_lists]
+        for offset, vb, coef_lists in sums
+    ]
+    power = TriangleGrid(p, 0, np.ones((1, 1), dtype=object))
     for l in range(lmax + 1):
-        for offset, vb, targets in sums:
-            if l + offset < len(exp_rows):
-                row = exp_rows[l + offset]
-                scale = row.scale + power.scale
-                prod = _row_grid_mul(row.terms, power.terms, tmax, uweight, vb)
-                for coefs, out in targets:
-                    c = coefs[l]
-                    out.absorb(scale, {k: m * c for k, m in prod.items()})
+        for (offset, vb, coef_lists), targets in zip(sums, outs):
+            K = l + offset
+            if K >= len(exp_rows) or not rows[K]:
+                continue
+            scale = exp_rows[K].scale + power.scale
+            terms, cells = rows[K], power.cells
+            if len(targets) > 1:
+                terms, cells = _UNIT, _triangle_mul(zeros(1 - offset, vb), terms, cells, 1)
+            for coefs, out in zip(coef_lists, targets):
+                out.absorb(scale, coefs[l], terms, cells)
         if l == lmax:
             break
-        power = ScaledGrid(
+        power = TriangleGrid(
             p,
-            power.scale + base.scale,
-            _grids_mul(power.terms, base.terms, tmax, uweight, pow_vbound),
+            power.scale + log_a.scale,
+            _triangle_mul(zeros(l + 1, pow_vbound), base, power.cells, 1),
         ).strip()
-        if not power.terms:
-            break
+    return [
+        [out.ungraded(1 - offset, n) for out in targets]
+        for (offset, _, _), targets in zip(sums, outs)
+    ]
 
 
 @dataclass
@@ -349,21 +453,19 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     # all the multiples i share one product E_l (log a)^l per power.
     # H_0(y) = F(0, y) = y needs no pass.
     multiples = [p] + list(range(2, p)) + [-k for k in range(1, p)]
-    series = {i: ScaledGrid(p) for i in multiples}
-    slab_h = [ScaledGrid(p, 0, {(0, 1): 1})] + [ScaledGrid(p) for _ in range(x_cap)]
-    powers_of_i = [([i**l for l in range(a_cap + 1)], series[i]) for i in multiples]
-    sums = [(0, a_cap, powers_of_i)]
+    sums = [(0, a_cap, [[i**l for l in range(a_cap + 1)] for i in multiples])]
     sums += [
-        (m, vbound, [([comb(m + l, m) for l in range(a_cap + 1)], slab_h[m])])
+        (m, vbound, [[comb(m + l, m) for l in range(a_cap + 1)]])
         for m in range(1, x_cap + 1)
     ]
     log_a = _log_grid(ms, ulevels - 1, d, a_cap)
-    _power_pass(p, d, ulevels, exp_rows, log_a, a_cap, sums)
+    series, *slab_sums = _power_pass(p, n, ulevels, exp_rows, log_a, a_cap, sums)
+    slab_h = [ScaledGrid(p, 0, {(0, 1): 1})] + [h for (h,) in slab_sums]
 
-    p_series_a = series[p].certify("p-series")
+    p_series_a = series[0].certify("p-series")
     series_a = {1: {(0, 1): 1}}
-    for i in multiples[1:]:
-        series_a[i] = series[i].certify(f"[{i}](a)")
+    for i, grid in zip(multiples[1:], series[1:]):
+        series_a[i] = grid.certify(f"[{i}](a)")
 
     # The slab F(x, y) = sum_m (log x)^m H_m(y); only the total is
     # p-integral, so it is certified at the end.

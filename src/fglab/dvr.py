@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import (
     InexactDivision,
+    NegativePower,
     NotPreparable,
     PrecisionExhausted,
     PrecisionMismatch,
@@ -459,7 +460,7 @@ class DvrElement:
 
     def __pow__(self, e: int) -> "DvrElement":
         if e < 0:
-            raise ValueError("negative powers: use unit_inverse or divide_exact")
+            raise NegativePower(f"power {e}: use unit_inverse or divide_exact")
         result = self.ring.one()
         base = self
         while e:

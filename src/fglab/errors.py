@@ -37,6 +37,20 @@ class IntegralityFailure(FglabError):
     """A coefficient that must lie in the p-local integers does not."""
 
 
+class OffGrading(FglabError):
+    """A large-degree series term lies off the weight grading its grid is
+    stored on; the construction is broken."""
+
+
+class NegativePower(FglabError):
+    """A negative power was asked of a value that has no inverse by that
+    route (series and ring elements are inverted explicitly)."""
+
+
+class PrimeMismatch(FglabError):
+    """Two values over different primes were combined."""
+
+
 class NotPreparable(FglabError):
     """The input to Weierstrass preparation does not have the distinguished
     coefficient pattern (lower coefficients in (u), pivot a unit)."""

@@ -25,7 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InexactDivision, NotPIntegral, PrecisionMismatch
+from .errors import (
+    InexactDivision,
+    NegativePower,
+    NotPIntegral,
+    PrecisionMismatch,
+    PrimeMismatch,
+)
 
 # Desk scale: small primes keep the distinguished degree p^(n+1) - p^n small.
 MAX_PRIME = 17
@@ -124,7 +130,7 @@ class USeries:
 
     def _check(self, other: "USeries"):
         if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
+            raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
         if self.precision != other.precision:
             raise PrecisionMismatch(
                 f"precision {self.precision} vs {other.precision}"
@@ -155,7 +161,7 @@ class USeries:
 
     def __pow__(self, e: int) -> "USeries":
         if e < 0:
-            raise ValueError("negative powers not supported; invert first")
+            raise NegativePower(f"power {e} of a u-series; invert first")
         result = USeries.one(self.p, self.precision)
         base = self
         while e:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from operator import add, itemgetter
 
 from .errors import (
+    NegativePower,
     NonUnitLinearCoefficient,
     NonzeroConstantTerm,
     VariableMismatch,
@@ -104,7 +105,14 @@ class MultiSeries:
         return cls(ring, variables, formal_cap, {tuple(e): ring.one})
 
     def _wrap(self, terms) -> "MultiSeries":
-        return MultiSeries(self.ring, self.variables, self.formal_cap, terms)
+        """A series over this one's variables from terms already within the
+        formal cap, so only zero coefficients are dropped."""
+        out = object.__new__(MultiSeries)
+        out.ring, out.variables, out.formal_cap = self.ring, self.variables, self.formal_cap
+        out._formal_idx = self._formal_idx
+        is_zero = self.ring.is_zero
+        out.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+        return out
 
     def formal_degree(self, exps) -> int:
         return sum(exps[i] for i in self._formal_idx)
@@ -158,7 +166,7 @@ class MultiSeries:
 
     def __pow__(self, n: int) -> "MultiSeries":
         if n < 0:
-            raise ValueError("negative power")
+            raise NegativePower(f"power {n} of a series")
         result = MultiSeries.one(self.ring, self.variables, self.formal_cap)
         base = self
         while n:

@@ -1,12 +1,23 @@
 """The large-degree engine against the exact-rational route and direct oracles."""
 
 import hashlib
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fglab.bigseries import ScaledGrid, reduced_exp_rows, reduced_log_rows
-from fglab.errors import IntegralityFailure
+from fglab.bigseries import (
+    ScaledGrid,
+    TriangleGrid,
+    _grade,
+    _log_grid,
+    _power_pass,
+    _zero_triangle,
+    reduced_exp_rows,
+    reduced_log_rows,
+)
+from fglab.errors import IntegralityFailure, OffGrading
 from fglab.fgl import ChromaticConfig, i_series, reduce_series
 
 
@@ -192,3 +203,94 @@ def test_grid_digests_pinned(pipeline, p, n):
         for k, g in grids.items()
     }
     assert got == GRID_DIGESTS[(p, n)]
+
+
+def row_grid_mul_oracle(row: dict, grid: dict, tmax: int, w: int, vb: int) -> dict:
+    """Reference product: every (row term, grid term) pair, kept while
+    t <= tmax and t*w + deg <= vb."""
+    out: dict = {}
+    for t_r, m_r in row.items():
+        for (t_b, deg), m_b in grid.items():
+            t = t_r + t_b
+            if t > tmax or t * w + deg > vb:
+                continue
+            key = (t, deg)
+            v = out.get(key)
+            out[key] = m_b * m_r if v is None else v + m_b * m_r
+    return out
+
+
+def _values(grid: ScaledGrid) -> dict:
+    return {k: Fraction(m, grid.p**grid.scale) for k, m in grid.terms.items() if m}
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_triangle_product_matches_dict_oracle(p, n, seed):
+    """Random graded rows and powers, negative mantissas, mixed scales,
+    several products absorbed into one weight 1 - offset target.  tmax = 2
+    cuts at t = ulevels - 1 before the grade bound N does; tmax = 60 leaves
+    only the grade bound."""
+    rng = random.Random(seed)
+    e, D = p**n - 1, p ** (n + 1) - 1
+    d = D - e
+    vb, offset = 14 * d + rng.randrange(D), rng.randrange(3)
+    for tmax in (2, 60):
+        oracle = ScaledGrid(p)
+        target = TriangleGrid(p, 0, _zero_triangle(p, n, 1 - offset, vb, tmax))
+        for _ in range(5):
+            K = 1 + e * rng.randrange(3) + D * rng.randrange(2)
+            l = max(K - offset, 1)
+            K = l + offset
+            power = {}
+            for _ in range(30):
+                t, j = rng.randrange(tmax + 1), rng.randrange(12)
+                if t * d + l + e * t + D * j <= vb:
+                    power[(t, l + e * t + D * j)] = rng.randint(-(10**30), 10**30)
+            row = {
+                t: rng.choice([-1, 1]) * rng.getrandbits(80)
+                for t in range(K // e + 1)
+                if (K - 1 - e * t) % D == 0 and K - 1 - e * t >= 0 and rng.random() < 0.8
+            }
+            s_row, s_pow, c = rng.randrange(6), rng.randrange(6), rng.randint(-9, 9)
+            prod = row_grid_mul_oracle(row, power, tmax, d, vb)
+            oracle.absorb(s_row + s_pow, {k: m * c for k, m in prod.items()})
+            cells = np.zeros((tmax + 1, tmax + 12), dtype=object)
+            for (t, k), m in power.items():
+                cells[t, _grade("power", t, k, l, p, n)] = m
+            terms = [(t, _grade("row", t, K, 1, p, n), m) for t, m in row.items()]
+            target.absorb(s_row + s_pow, c, terms, cells)
+        got = target.ungraded(1 - offset, n)
+        assert got.terms and _values(got) == _values(oracle)
+        assert max(t for t, _ in got.terms) <= tmax
+
+
+def test_off_grading_key_raises():
+    ms = reduced_log_rows(2, 1, 3)
+    log_a = _log_grid(ms, 5, 2, 20)
+    rows = reduced_exp_rows(2, 1, 20, 6, 2, 20)
+    sums = [(0, 20, [[1] * 21])]
+    # (0, 2) misses k = 1 + t + 3j; (3, 1) needs j = -1.
+    for key in [(0, 2), (3, 1)]:
+        bad = ScaledGrid(2, log_a.scale, {**log_a.terms, key: 1})
+        with pytest.raises(OffGrading, match=rf"log a: key \({key[0]}, {key[1]}\)"):
+            _power_pass(2, 1, 6, rows, bad, 20, sums)
+    bad_rows = list(rows)
+    bad_rows[4] = ScaledGrid(2, rows[4].scale, {**rows[4].terms, 1: 1})
+    with pytest.raises(OffGrading, match=r"E_4: key \(1, 4\)"):
+        _power_pass(2, 1, 6, bad_rows, log_a, 20, sums)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+def test_grids_satisfy_grading(pipeline, p, n):
+    """k = w + (p^n - 1) t + (p^(n+1) - 1) j with j >= 0, weight 1 for [i](a)
+    and for the slab in total degree x-degree + y-degree."""
+    data = pipeline(p, n).data
+    e, D = p**n - 1, p ** (n + 1) - 1
+
+    def graded(t, k):
+        return (k - 1 - e * t) % D == 0 and k - 1 - e * t >= 0
+
+    keys = [k for g in [data.p_series_a, *data.series_a.values()] for k in g]
+    keys += [(t, y + x) for t, y, x in data.slab]
+    assert keys and all(graded(t, k) for t, k in keys)

@@ -4,12 +4,16 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from fglab.cli import main
 from fglab.report import comparable_bytes
 from fglab.schema import validate_report
 from fglab.verify import parse_useries, run_descent_command, run_verify
 from fglab.scalars import USeries
-from fglab.series import MultiSeries
+from fglab.series import MultiSeries, RationalRing
+
+QQ = RationalRing()
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "goldens")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -205,3 +209,82 @@ def test_package_exports_resolve():
     assert len(set(fglab.__all__)) == len(fglab.__all__)
     missing = [name for name in fglab.__all__ if not hasattr(fglab, name)]
     assert not missing
+
+
+class TestFailureClassification:
+    """A failure inside the computation is an FglabError and exits 1; a bad
+    argument stays a ValueError and exits 2."""
+
+    def test_computation_errors_are_fglab_errors(self, pipeline):
+        from fglab.errors import FglabError
+
+        one = USeries.one(2, 4)
+        x = MultiSeries.variable(QQ, ("x",), "x", 4)
+        cases = [
+            lambda: pipeline(2, 1).ring.one() ** -1,
+            lambda: one + USeries.one(3, 4),
+            lambda: one**-1,
+            lambda: x**-1,
+        ]
+        for case in cases:
+            with pytest.raises(FglabError) as info:
+                case()
+            assert not isinstance(info.value, ValueError)
+
+    def test_computation_error_exits_one(self, monkeypatch, capsys):
+        import fglab.cli
+
+        def failing(*args, **kwargs):
+            return USeries.one(2, 4) ** -1
+
+        monkeypatch.setattr(fglab.cli, "run_verify", failing)
+        assert main(["verify", "--p", "2", "--n", "1"]) == 1
+        assert "NegativePower" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--p", "4", "--n", "1"],
+            ["verify", "--p", "2", "--n", "0"],
+            ["pseries", "--p", "2", "--n", "1", "--i-max", "-1"],
+            ["descent", "--p", "2", "--n", "1", "--random", "1", "--max-weight", "40"],
+        ],
+    )
+    def test_bad_arguments_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
+
+def test_pseries_shares_the_pipeline_law(monkeypatch):
+    """One law per configuration: a verify then a pseries build it once, the
+    pseries bytes match a freshly built law's, and a pipeline that finds the
+    law cached does not report the build's time as fgl_build_ms."""
+    import time
+    from functools import lru_cache
+
+    import fglab.verify
+    from fglab.verify import run_pseries_command
+
+    calls = []
+    real = fglab.verify.build_fgl
+
+    def counting(cfg):
+        calls.append(cfg)
+        time.sleep(0.3)
+        return real(cfg)
+
+    def fresh_caches():
+        for name in ("certified_law", "build_pipeline"):
+            fn = getattr(fglab.verify, name).__wrapped__
+            monkeypatch.setattr(fglab.verify, name, lru_cache(maxsize=8)(fn))
+
+    monkeypatch.setattr(fglab.verify, "build_fgl", counting)
+    fresh_caches()
+    run_verify(2, 2)
+    shared = comparable_bytes(run_pseries_command(2, 2).to_dict())
+    assert len(calls) == 1
+    fresh_caches()
+    assert comparable_bytes(run_pseries_command(2, 2).to_dict()) == shared
+    assert len(calls) == 2
+    timing = run_verify(2, 2).timing
+    assert len(calls) == 2 and timing["fgl_build_ms"] < 300

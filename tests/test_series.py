@@ -63,6 +63,23 @@ class TestMul:
         x, y = xy("x"), xy("y")
         assert (x + y) * (x - y) == x * x - y * y
 
+    def test_cancelling_terms_dropped(self):
+        """In (x + u1 y + u2)(x - u1 y) the two x y u1 terms cancel and leave
+        no zero coefficient behind."""
+        def mono(c, *e):
+            return MultiSeries(QQ, XYU, 2, {e: Fraction(c)})
+
+        a = mono(1, 1, 0, 0, 0) + mono(1, 0, 1, 1, 0) + mono(1, 0, 0, 0, 1)
+        b = mono(1, 1, 0, 0, 0) - mono(1, 0, 1, 1, 0)
+        got = a * b
+        assert got.terms == {
+            (2, 0, 0, 0): 1,
+            (0, 2, 2, 0): -1,
+            (1, 0, 0, 1): 1,
+            (0, 1, 1, 1): -1,
+        }
+        assert (got - got).terms == {} and (a * b.scale(Fraction(0))).terms == {}
+
     def test_unit(self):
         s = xy("x") + xy("y") * xy("y")
         one = MultiSeries.one(QQ, ("x", "y"), 6)
