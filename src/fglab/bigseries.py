@@ -43,6 +43,14 @@ u-level count; cells with t > g stay zero.  Multiplying by a sparse factor
 shifts the array by each term's (t, g), one slice update per term, and the
 slices end at the array's bounds, so truncated cells are never formed.
 
+The exp rows are solved on the same grading, one total grade g at a time:
+exp^e is kept as columns g, each a run of cells over t with one scale.
+Column g of exp is -sum_j m_j * exp^(p^j) in column g, and every term of m_j
+(j >= 1) raises the grade by at least 1, so it needs only columns below g of
+the powers; each power on the addition chain then gains its column g as a sum
+of t-convolutions of the columns of its two factors, and a square forms each
+cross pair once.  The rows E_K are read off the columns at the end.
+
 The two routes to the same law (this module versus the exact-rational
 bivariate construction) overlap on low degrees; their agreement there is
 asserted by the test suite.
@@ -50,6 +58,7 @@ asserted by the test suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -133,16 +142,6 @@ class ScaledGrid:
 # is kept while t <= tmax and t * w + deg <= vb.
 
 
-def _rows_mul(r1: dict, r2: dict, tmax: int) -> dict:
-    out: dict = {}
-    for t1, m1 in r1.items():
-        for t2, m2 in r2.items():
-            t = t1 + t2
-            if t <= tmax:
-                out[t] = out.get(t, 0) + m1 * m2
-    return out
-
-
 def _grids_mul(g1: dict, g2: dict, tmax: int, w: int, vb: int) -> dict:
     out: dict = {}
     items2 = list(g2.items())
@@ -196,17 +195,46 @@ def _jmax_for(p: int, cap: int) -> int:
     return j
 
 
+def _column_mul(out, lo: int, c: int, a: tuple, b: tuple):
+    """Add c times the t-convolution of the columns a and b, each (first row,
+    scale, cells), into ``out``, whose cells are rows lo, lo + 1, ...
+    Only products that land in ``out`` are formed: the rows of a whose
+    products with all of b land there go through one convolution, and each
+    row at a cut takes the slice of b that does."""
+    hi = lo + len(out) - 1
+    (a_lo, _, a_cells), (b_lo, _, b_cells) = a, b
+    nb = len(b_cells)
+    i0 = min(max(0, lo - a_lo - b_lo), len(a_cells))
+    i1 = max(min(len(a_cells), hi - a_lo - b_lo - nb + 2), i0)
+    if i0 < i1:
+        o = a_lo + i0 + b_lo - lo
+        out[o : o + i1 - i0 + nb - 1] += np.convolve(a_cells[i0:i1] * c, b_cells)
+    for i in [*range(i0), *range(i1, len(a_cells))]:
+        t = a_lo + i + b_lo
+        s, e = max(0, lo - t), min(nb, hi - t + 1)
+        if s < e:
+            out[t + s - lo : t + e - lo] += (c * a_cells[i]) * b_cells[s:e]
+
+
 def reduced_exp_rows(
     p: int, n: int, deg_cap: int, ulevels: int, uweight: int, vbound: int
 ) -> list[ScaledGrid]:
     """Coefficient rows E_0..E_deg_cap of exp = log^(-1) for the specialized
-    law, solved degree by degree from log(exp(x)) = x.
+    law, solved from log(exp(x)) = x on the region t <= ulevels - 1,
+    t*uweight + K <= vbound, K <= deg_cap.
 
-    Power arrays exp^e for every exponent e on the addition chain of
-    p, p^2, ... are extended one degree at a time; the degree-K slice of any
-    power only involves rows of degree < K, so each new E_K is determined by
-    already-known data with no divisions beyond the exact p-powers carried in
-    the scales.
+    The solve runs by total grade g = t + j of the cells u^t x^K of exp^e,
+    K = e + (p^n - 1) t + (p^(n+1) - 1) j.  Column g of exp is
+    -sum_j m_j * exp^(p^j) in column g; a term u^t' of m_j raises the grade
+    by t' + j' >= 1 (p^j > 1), so column g of exp needs only columns below g
+    of the powers.  Then each power e = e1 + e2 on the addition chain of
+    p, p^2, ... gains column g = sum_g1 conv_t(exp^e1[g1], exp^e2[g - g1]);
+    a square forms only g1 <= g - g1 and doubles g1 < g - g1.  Each split is
+    lifted to the column's scale and the column stripped, so there are no
+    divisions beyond the exact p-powers carried in the scales.  The region
+    is an ideal, so no product outside it feeds one inside, and none is
+    formed: with uweight = d the vbound cut is g <= (vbound - e) //
+    (p^(n+1) - 1), and K <= deg_cap bounds t below in each column.
     """
     jmax = _jmax_for(p, deg_cap)
     ms = reduced_log_rows(p, n, jmax)
@@ -228,36 +256,83 @@ def reduced_exp_rows(
         ensure(p**j)
     chain.sort()
 
-    # arrays[e][K] is the x^K coefficient of exp^e.
-    zero = ScaledGrid(p)
-    arrays = {e: [zero] * (deg_cap + 1) for e in chain}
-    arrays[1][1] = ScaledGrid(p, 0, {0: 1})  # exp = x + ...
+    D = p ** (n + 1) - 1
+    d = D - (p**n - 1)
 
-    for K in range(2, deg_cap + 1):
-        tm = min(ulevels - 1, (vbound - K) // uweight)
-        # Extend every composite power to degree K using rows of degree < K.
+    def span(e: int, g: int) -> tuple[int, int]:
+        """Rows lo..hi of column g of exp^e in the region; row t is the cell
+        of x-degree K = e + D g - d t."""
+        lo, hi = max(0, -((deg_cap - e - D * g) // d)), min(g, ulevels - 1)
+        # t*uweight + K <= vbound is (uweight - d) t <= vbound - e - D g.
+        s, r = uweight - d, vbound - e - D * g
+        if s > 0:
+            hi = min(hi, r // s)
+        elif s < 0:
+            lo = max(lo, -(r // -s))
+        elif r < 0:
+            hi = -1
+        return lo, hi
+
+    def column(e: int, g: int, splits: list):
+        """Column g of exp^e from splits (c, a, b): the sum of
+        c * conv_t(a, b), or None where it is empty."""
+        lo, hi = span(e, g)
+        if lo > hi or not splits:
+            return None
+        scale = max(a[1] + b[1] for _, a, b in splits)
+        out = np.zeros(hi - lo + 1, dtype=object)
+        for c, a, b in splits:
+            _column_mul(out, lo, c * p ** (scale - a[1] - b[1]), a, b)
+        live = out[out != 0]
+        if not len(live):
+            return None
+        k = _shared_p_power(p, scale, live)
+        return lo, scale - k, out // p**k
+
+    # Each term u^t' of m_j is a one-cell column at grade shift t' + j',
+    # filed under the power exp^(p^j) it multiplies.
+    shifts = {
+        p**j: [
+            (_grade(f"m_{j}", t, p**j, 1, p, n), (t, ms[j].scale, np.array([m], dtype=object)))
+            for t, m in ms[j].terms.items()
+        ]
+        for j in range(1, jmax + 1)
+    }
+    one = (0, 0, np.array([1], dtype=object))
+    cols: dict[int, list] = {e: [] for e in chain}  # cols[e][g]: column g of exp^e
+    for g in itertools.count():
+        lo, hi = span(1, g)
+        if lo > hi:
+            break
+        splits = [(1, one, one)] if g == 0 else []  # exp = x + ...
+        for e, terms in shifts.items():
+            for shift, m in terms:
+                if shift <= g and cols[e][g - shift] is not None:
+                    splits.append((-1, m, cols[e][g - shift]))
+        cols[1].append(column(1, g, splits))
         for e in chain[1:]:
             e1, e2 = plan[e]
-            a1, a2 = arrays[e1], arrays[e2]
-            acc = ScaledGrid(p)
-            for i in range(e1, K - e2 + 1):
-                r1, r2 = a1[i], a2[K - i]
-                if r1.terms and r2.terms:
-                    acc.absorb(r1.scale + r2.scale, _rows_mul(r1.terms, r2.terms, tm))
-            arrays[e][K] = acc.strip()
+            A, B = cols[e1], cols[e2]
+            splits = []
+            for g1 in range(g // 2 + 1 if e1 == e2 else g + 1):
+                if A[g1] is not None and B[g - g1] is not None:
+                    splits.append((2 if e1 == e2 and 2 * g1 < g else 1, A[g1], B[g - g1]))
+            cols[e].append(column(e, g, splits))
 
-        # E_K = -sum_j m_j * (exp^(p^j))|_K.
-        acc = ScaledGrid(p)
-        for j in range(1, jmax + 1):
-            if p**j > K:
-                break
-            rp = arrays[p**j][K]
-            if rp.terms:
-                acc.absorb(ms[j].scale + rp.scale, _rows_mul(ms[j].terms, rp.terms, tm))
-        acc.strip()
-        arrays[1][K] = ScaledGrid(p, acc.scale, {t: -m for t, m in acc.terms.items()})
-
-    return arrays[1]
+    # E_K gathers the cells (t, g) with K = 1 + D g - d t, at one scale;
+    # walking g downwards lists each row's terms by descending t.
+    cells: list[list] = [[] for _ in range(deg_cap + 1)]
+    for g, col in reversed(list(enumerate(cols[1]))):
+        if col is not None:
+            lo, scale, out = col
+            for t, m in enumerate(out.tolist(), lo):
+                if m:
+                    cells[1 + D * g - d * t].append((t, scale, m))
+    rows = []
+    for row in cells:
+        scale = max((s for _, s, _ in row), default=0)
+        rows.append(ScaledGrid(p, scale, {t: m * p ** (scale - s) for t, s, m in row}).strip())
+    return rows
 
 
 def _log_grid(ms: list, tmax: int, w: int, vb: int) -> ScaledGrid:

@@ -314,6 +314,13 @@ class DvrRing:
         self.precision = g.precision  # u-levels per coefficient
         self.prec_cap = self.precision * self.d  # valuation resolution of R
         self._g_low = np.array([c.coeffs for c in g.coefficients[: self.d]], dtype=np.int64)
+        # Row s of the Toeplitz block is u^s * (g_0, ..., g_(d-1)) cut at u^M,
+        # so top @ block is every truncated product top * g_i at once.
+        M = self.precision
+        block = np.zeros((M, self.d, M), dtype=np.int64)
+        for s in range(M):
+            block[s, :, s:] = self._g_low[:, : M - s]
+        self._g_toeplitz = block.reshape(M, self.d * M)
         # (g_0 / u)^(-1), the unit divide_by_a divides by; its top term is
         # unknown and taken as 0.
         self._g0_unit_inv = np.array(g.coefficients[0].divide_by_u(1).inverse().coeffs)
@@ -323,16 +330,16 @@ class DvrRing:
 
     def _ensure_pow(self, kmax: int):
         """Extend the a^k table through kmax: a^(k+1) = a * a^k, with the a^d
-        it overflows into replaced by -(g_0 + g_1 a + ... + g_(d-1) a^(d-1))."""
-        p, M = self.p, self.precision
+        it overflows into replaced by -(g_0 + g_1 a + ... + g_(d-1) a^(d-1)).
+        One int64 product per row; its entries stay below M * p^2."""
+        p, d, M = self.p, self.d, self.precision
         prev = self._a_pow[-1]
         new = []
         for _ in range(len(self._a_pow), kmax + 1):
             top = prev[-1]
             prev = np.roll(prev, 1, axis=0)
             prev[0] = 0
-            for i, gi in enumerate(self._g_low):
-                prev[i] -= np.convolve(top, gi)[:M]
+            prev -= (top @ self._g_toeplitz).reshape(d, M)
             prev %= p
             new.append(prev)
         if new:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fglab import bigseries
 from fglab.bigseries import (
     ScaledGrid,
     TriangleGrid,
@@ -47,10 +48,11 @@ def test_log_rows_match_fraction_oracle(p, n):
         assert got == oracle[j], f"m_{j} differs"
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (3, 1)])
 def test_exp_rows_match_rational_reversion(pipeline, p, n):
     """The scaled-integer exp agrees with the exact-Fraction reversion of the
-    full law specialized at u_1 = ... = u_{n-1} = 0."""
+    full law specialized at u_1 = ... = u_{n-1} = 0.  At p = 3 the addition
+    chain has steps that are no squares (3 = 1 + 2, 9 = 4 + 5)."""
     pipe = pipeline(p, n)
     cfg, F = pipe.config, pipe.law
     exp_small = F.exp_series.substitute_zero([f"u{j}" for j in range(1, n)])
@@ -64,6 +66,89 @@ def test_exp_rows_match_rational_reversion(pipeline, p, n):
             if e[0] == K and c:
                 want[e[1]] = c
         assert got == want, f"exp row {K} differs"
+
+
+
+def exp_rows_oracle(p, n, deg_cap, ulevels, uweight, vbound):
+    """Reference exp rows: log(exp(x)) = x solved degree by degree on dict
+    u-rows, extending every power on the addition chain one x-degree at a
+    time, each product kept while t <= min(ulevels - 1, (vbound - K) //
+    uweight)."""
+
+    def rows_mul(r1, r2, tmax):
+        out = {}
+        for t1, m1 in r1.items():
+            for t2, m2 in r2.items():
+                if t1 + t2 <= tmax:
+                    out[t1 + t2] = out.get(t1 + t2, 0) + m1 * m2
+        return out
+
+    jmax = 0
+    while p ** (jmax + 1) <= deg_cap:
+        jmax += 1
+    ms = reduced_log_rows(p, n, jmax)
+    chain, plan = [1], {}
+
+    def ensure(e):
+        if e not in chain:
+            ensure(e // 2)
+            ensure(e - e // 2)
+            plan[e] = (e // 2, e - e // 2)
+            chain.append(e)
+
+    for j in range(1, jmax + 1):
+        ensure(p**j)
+    chain.sort()
+    arrays = {e: [ScaledGrid(p)] * (deg_cap + 1) for e in chain}
+    arrays[1][1] = ScaledGrid(p, 0, {0: 1})
+    for K in range(2, deg_cap + 1):
+        tm = min(ulevels - 1, (vbound - K) // uweight)
+        for e in chain[1:]:
+            e1, e2 = plan[e]
+            acc = ScaledGrid(p)
+            for i in range(e1, K - e2 + 1):
+                r1, r2 = arrays[e1][i], arrays[e2][K - i]
+                if r1.terms and r2.terms:
+                    acc.absorb(r1.scale + r2.scale, rows_mul(r1.terms, r2.terms, tm))
+            arrays[e][K] = acc.strip()
+        acc = ScaledGrid(p)
+        for j in range(1, jmax + 1):
+            if p**j > K:
+                break
+            rp = arrays[p**j][K]
+            if rp.terms:
+                acc.absorb(ms[j].scale + rp.scale, rows_mul(ms[j].terms, rp.terms, tm))
+        acc.strip()
+        arrays[1][K] = ScaledGrid(p, acc.scale, {t: -m for t, m in acc.terms.items()})
+    return arrays[1]
+
+
+@pytest.mark.parametrize(
+    "p,n,M", [(2, 1, 2), (2, 1, 8), (2, 1, 32), (3, 1, 8), (2, 2, 8), (2, 3, 4), (5, 1, 6)]
+)
+def test_exp_rows_match_k_ordered_oracle(monkeypatch, p, n, M):
+    """The grade-ordered solve gives the K-ordered dict solve's rows bit for
+    bit, scale and terms in the same order, on the call build_reduced_law_data makes, and on a
+    call whose vbound is past deg_cap, so the K <= deg_cap cut bounds t below
+    in each column."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return reduced_exp_rows(*args)
+
+    monkeypatch.setattr(bigseries, "reduced_exp_rows", recording)
+    bigseries.build_reduced_law_data(ChromaticConfig(p, n, u_precision=M))
+    cfg = ChromaticConfig(p, n)
+    calls.append((p, n, cfg.formal_cap, 40, cfg.eisenstein_degree, 1000))
+    for args in calls:
+        got = reduced_exp_rows(*args)
+        want = exp_rows_oracle(*args)
+        assert len(got) == len(want) == args[2] + 1
+        for K, (g, w) in enumerate(zip(got, want)):
+            assert (g.scale, list(g.terms.items())) == (w.scale, list(w.terms.items())), (
+                f"{args}: E_{K} differs"
+            )
 
 
 def small_route_pseries(F):
@@ -265,7 +350,7 @@ def test_triangle_product_matches_dict_oracle(p, n, seed):
         assert max(t for t, _ in got.terms) <= tmax
 
 
-def test_off_grading_key_raises():
+def test_off_grading_key_raises(monkeypatch):
     ms = reduced_log_rows(2, 1, 3)
     log_a = _log_grid(ms, 5, 2, 20)
     rows = reduced_exp_rows(2, 1, 20, 6, 2, 20)
@@ -279,6 +364,13 @@ def test_off_grading_key_raises():
     bad_rows[4] = ScaledGrid(2, rows[4].scale, {**rows[4].terms, 1: 1})
     with pytest.raises(OffGrading, match=r"E_4: key \(1, 4\)"):
         _power_pass(2, 1, 6, bad_rows, log_a, 20, sums)
+    # m_1 sits at x-degree 2 = 1 + t + 3j: (0, 2) misses it, (4, 2) needs j = -1.
+    for key in [(0, 2), (4, 2)]:
+        bad_ms = reduced_log_rows(2, 1, 4)
+        bad_ms[1] = ScaledGrid(2, bad_ms[1].scale, {**bad_ms[1].terms, key[0]: 1})
+        monkeypatch.setattr(bigseries, "reduced_log_rows", lambda p, n, jmax: bad_ms)
+        with pytest.raises(OffGrading, match=rf"m_1: key \({key[0]}, {key[1]}\)"):
+            reduced_exp_rows(2, 1, 20, 6, 2, 20)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])

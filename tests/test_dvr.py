@@ -211,6 +211,30 @@ class TestWeierstrass:
                 == fact_deep.distinguished.coefficients[i].coeffs[:lvl]
             )
 
+    @pytest.mark.parametrize("p,n,M,deeper", [(2, 1, 32, 40), (3, 1, 15, 24), (2, 2, 13, 24)])
+    def test_unit_terms_agree_with_deeper_run(self, p, n, M, deeper):
+        """The unit is unique, so a run at more u-levels has the same terms on
+        the whole region the shallower one claims, t < levels and
+        t*d + j <= valid_vbound, including the top band
+        t*d + j > valid_vbound - d that no reconstruction check reads.  The
+        unit's valuations t*d + j lie in one class mod p^(n+1) - 1, so the
+        band holds nonzero terms only at some M: at (3,1) and (2,2) it holds
+        none at M = 16, some at M = 15 and M = 13."""
+
+        def factorization(levels):
+            data = build_reduced_law_data(ChromaticConfig(p, n, u_precision=levels))
+            return weierstrass_from_rows(
+                p, data.p_series_a, data.d, p**n, levels, levels, depth=data.a_cap
+            )
+
+        fact, deep = factorization(M), factorization(deeper)
+        d, vb = fact.distinguished.degree, fact.valid_vbound
+        assert deep.valid_vbound > vb
+        assert fact.unit_rows == {
+            (t, j): r for (t, j), r in deep.unit_rows.items() if t < M and t * d + j <= vb
+        }
+        assert any(t * d + j > vb - d for t, j in fact.unit_rows)
+
     @pytest.mark.parametrize("p,n", [(2, 1), (3, 1)])
     def test_fewer_levels_keep_unit_terms(self, pipeline, p, n):
         """Solving fewer levels from the same rows gives the same unit terms on
@@ -307,7 +331,35 @@ def eisenstein_ring(p, d, M, seed):
     return DvrRing(DistinguishedPoly(p=p, degree=d, coefficients=coeffs, levels=M))
 
 
+def a_pow_oracle(ring, kmax):
+    """a^k mod g for k <= kmax, one d-row step per k: a times the last row,
+    the a^d overflow replaced by -(g_0 + ... + g_(d-1) a^(d-1)) through d
+    separate truncated convolutions."""
+    p, d, M = ring.p, ring.d, ring.precision
+    table = [np.zeros((d, M), dtype=np.int64) for _ in range(d)]
+    for k in range(d):
+        table[k][k, 0] = 1
+    prev = table[-1]
+    for _ in range(d, kmax + 1):
+        top = prev[-1]
+        prev = np.roll(prev, 1, axis=0)
+        prev[0] = 0
+        for i, gi in enumerate(ring._g_low):
+            prev[i] -= np.convolve(top, gi)[:M]
+        prev %= p
+        table.append(prev)
+    return np.stack(table)
+
+
 class TestDvrArithmetic:
+    def test_a_pow_table_matches_row_oracle(self, pipeline):
+        """The a^k table, extended far past 2d, against the step-by-step
+        oracle on the (2,2) ring and on a synthetic p = 5, d = 20 one."""
+        for ring in (pipeline(2, 2).ring, eisenstein_ring(5, 20, 8, seed=3)):
+            kmax = 12 * ring.d
+            ring._ensure_pow(kmax)
+            assert np.array_equal(ring._a_pow[: kmax + 1], a_pow_oracle(ring, kmax))
+
     def test_mul_identity(self, pipeline):
         ring = pipeline(2, 1).ring
         x = pipeline(2, 1).psi + ring.un()
