@@ -10,8 +10,12 @@ consumes is derived from this univariate specialization:
 
 * [i](a) = exp(i*log(a)) for the small multiples i needed downstream,
 * [p](a), whose Weierstrass preparation defines the distinguished polynomial,
-* the addition-law slab F(x, y) = exp(log x + log y) with x-degree kept small
+* the addition-law slab F(x, y) = sum_k F_k(y) x^k with x-degree kept small
   and y-degree kept large, used to evaluate x +_F c for ring elements c.
+  Differentiating log F(x, y) = log x + log y in x and in y gives
+  l'(y) dF/dx = l'(x) dF/dy with l'(x) = sum_j p^j m_j x^(p^j - 1), so
+  (k + 1) l'(y) F_(k+1) = sum_(p^j - 1 <= k) p^j m_j F'_(k+1-p^j), F_0 = y:
+  each F_k follows from the earlier ones and the logarithm, with no exp.
 
 Why a dedicated engine: the distinguished factor g at u-precision M genuinely
 depends on [p](a) up to a-degree about (M+2)*d, where d = p^(n+1) - p^n.  That
@@ -33,15 +37,16 @@ Grading and the triangle layout: every term u^t * a^k of a weight-w series
 here has k = w + (p^n - 1) t + (p^(n+1) - 1) j, where j is the exponent of
 v_(n+1), which the recursion above sets to 1 (the m_(j-n-1) term).  The law is
 homogeneous over Z_(p)[v_n, v_(n+1)] and its coefficients are polynomials, so
-j >= 0.  The weights are l for (log a)^l, 1 for [i](a) and 1 - m for H_m,
-the slab's x^m coefficient.
+j >= 0.  The weights are l for (log a)^l, 1 for [i](a) and 1 - k for F_k,
+the slab's x^k coefficient.
 Since d + p^n - 1 = p^(n+1) - 1, the truncation t*d + k <= vbound becomes
 t + j <= N = (vbound - w) // (p^(n+1) - 1): each grid is a polynomial in
-(t, j) cut at total degree N.  The power pass keeps (log a)^l and its sums as
-object arrays of Python ints indexed (t, g) with g = t + j <= N and t below the
-u-level count; cells with t > g stay zero.  Multiplying by a sparse factor
-shifts the array by each term's (t, g), one slice update per term, and the
-slices end at the array's bounds, so truncated cells are never formed.
+(t, j) cut at total degree N.  The power pass keeps (log a)^l and its sums,
+and the slab recursion its F_k, as object arrays of Python ints indexed
+(t, g) with g = t + j <= N and t below the u-level count; cells with t > g
+stay zero.  Multiplying by a sparse factor shifts the array by each term's
+(t, g), one slice update per term, and the slices end at the array's bounds,
+so truncated cells are never formed.
 
 The exp rows are solved on the same grading, one total grade g at a time:
 exp^e is kept as columns g, each a run of cells over t with one scale.
@@ -60,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -85,10 +89,9 @@ def _shared_p_power(p: int, cap: int, mantissas) -> int:
 class ScaledGrid:
     """Exact values mantissa * p^(-scale): integer mantissas at one shared scale.
 
-    Keys are t for a u-row, (t, deg) for a grid and (t, y-degree, x-degree)
-    for the addition slab.  Scales only grow by lifting mantissas with exact
-    p-powers; ``strip`` lowers them again, and ``certify`` is the only way out
-    to residues mod p.
+    Keys are t for a u-row and (t, deg) for a grid.  Scales only grow by
+    lifting mantissas with exact p-powers; ``strip`` lowers them again, and
+    ``certify`` is the only way out to residues mod p.
     """
 
     __slots__ = ("p", "scale", "terms")
@@ -136,40 +139,6 @@ class ScaledGrid:
             if r:
                 out[key] = r
         return out
-
-
-# One product per key shape.  A product term with u-degree t and degree deg
-# is kept while t <= tmax and t * w + deg <= vb.
-
-
-def _grids_mul(g1: dict, g2: dict, tmax: int, w: int, vb: int) -> dict:
-    out: dict = {}
-    items2 = list(g2.items())
-    for (t1, d1), m1 in g1.items():
-        for (t2, d2), m2 in items2:
-            t = t1 + t2
-            deg = d1 + d2
-            if t > tmax or t * w + deg > vb:
-                continue
-            key = (t, deg)
-            v = out.get(key)
-            out[key] = m1 * m2 if v is None else v + m1 * m2
-    return out
-
-
-def _slab_mul(xgrid: dict, ygrid: dict, tmax: int, w: int, vb: int) -> dict:
-    """Product of an x-side and a y-side grid, keyed (t, ydeg, xdeg); the
-    truncation bounds apply to the y-degree."""
-    out: dict = {}
-    for (t1, xdeg), m1 in xgrid.items():
-        for (t2, ydeg), m2 in ygrid.items():
-            t = t1 + t2
-            if t > tmax or t * w + ydeg > vb:
-                continue
-            key = (t, ydeg, xdeg)
-            v = out.get(key)
-            out[key] = m1 * m2 if v is None else v + m1 * m2
-    return out
 
 
 def reduced_log_rows(p: int, n: int, jmax: int) -> list[ScaledGrid]:
@@ -434,56 +403,110 @@ def _power_pass(
     ulevels: int,
     exp_rows: list,
     log_a: ScaledGrid,
-    lmax: int,
-    sums: list,
+    vbound: int,
+    multiples: list,
 ) -> list:
-    """Single pass over the powers (log a)^l, l <= lmax, feeding every sum.
-
-    Each sum is (offset, vbound, coefficient lists); per list ``coefs`` it
-    returns sum_l coefs[l] * E_(l + offset) * (log a)^l, a weight
-    1 - offset grid on t*d + deg <= vbound.  A sum with one list absorbs
-    E_(l + offset) * (log a)^l straight into it; with several, the product is
-    formed once per power and absorbed by each.  The running power is
-    stripped after each step to keep scales (hence mantissa sizes) bounded.
+    """[i](a) = sum_l i^l * E_l * (log a)^l for each i in ``multiples``, as
+    weight-1 grids on t*d + deg <= vbound, in one pass over the powers
+    (log a)^l: each product E_l * (log a)^l is formed once and absorbed by
+    every sum.  The running power is stripped after each step to keep scales
+    (hence mantissa sizes) bounded.
     """
     tmax = ulevels - 1
-    pow_vbound = max(vb for _, vb, _ in sums)
 
-    def zeros(w: int, vb: int):
-        return _zero_triangle(p, n, w, vb, tmax)
+    def zeros(w: int):
+        return _zero_triangle(p, n, w, vbound, tmax)
 
     rows = [
         [(t, _grade(f"E_{K}", t, K, 1, p, n), m) for t, m in row.terms.items()]
         for K, row in enumerate(exp_rows)
     ]
     base = [(t, _grade("log a", t, k, 1, p, n), m) for (t, k), m in log_a.terms.items()]
-    outs = [
-        [TriangleGrid(p, 0, zeros(1 - offset, vb)) for _ in coef_lists]
-        for offset, vb, coef_lists in sums
-    ]
+    outs = [TriangleGrid(p, 0, zeros(1)) for _ in multiples]
     power = TriangleGrid(p, 0, np.ones((1, 1), dtype=object))
-    for l in range(lmax + 1):
-        for (offset, vb, coef_lists), targets in zip(sums, outs):
-            K = l + offset
-            if K >= len(exp_rows) or not rows[K]:
-                continue
-            scale = exp_rows[K].scale + power.scale
-            terms, cells = rows[K], power.cells
-            if len(targets) > 1:
-                terms, cells = _UNIT, _triangle_mul(zeros(1 - offset, vb), terms, cells, 1)
-            for coefs, out in zip(coef_lists, targets):
-                out.absorb(scale, coefs[l], terms, cells)
-        if l == lmax:
-            break
-        power = TriangleGrid(
-            p,
-            power.scale + log_a.scale,
-            _triangle_mul(zeros(l + 1, pow_vbound), base, power.cells, 1),
-        ).strip()
-    return [
-        [out.ungraded(1 - offset, n) for out in targets]
-        for (offset, _, _), targets in zip(sums, outs)
-    ]
+    for l, terms in enumerate(rows):
+        if terms:
+            cells = _triangle_mul(zeros(1), terms, power.cells, 1)
+            for i, out in zip(multiples, outs):
+                out.absorb(exp_rows[l].scale + power.scale, i**l, _UNIT, cells)
+        if l + 1 < len(rows):
+            power = TriangleGrid(
+                p,
+                power.scale + log_a.scale,
+                _triangle_mul(zeros(l + 1), base, power.cells, 1),
+            ).strip()
+    return [out.ungraded(1, n) for out in outs]
+
+
+def addition_slab(p: int, n: int, ulevels: int, vbound: int, x_cap: int) -> dict:
+    """Residues of the addition law F(x, y) = sum_k F_k(y) x^k for k <= x_cap,
+    keyed (t, y-degree, k) on t <= ulevels - 1, t*d + y-degree <= vbound, by
+    the recursion (k + 1) l'(y) F_(k+1) = sum_j p^j m_j F'_(k+1-p^j) of the
+    module docstring.  l' has integer mantissas, since scale(m_j) = j, and
+    constant term 1.  Each F_k has weight 1 - k, so the cut t*d + deg <=
+    vbound + x_cap - k is g <= N = (vbound + x_cap - 1) // (p^(n+1) - 1) for
+    every k: all F_k live on one (t, g) triangle, which the recursion maps
+    into itself, so every cell on it is exact.  d/dy scales each cell by its
+    y-degree, a term u^t of p^j m_j shifts by its grade, and dividing by
+    l'(y) is a solve column by column in g, since every term of l'(y) - 1 has
+    grade >= 1.  The p-part of k + 1 goes into the scale, and the prime-to-p
+    part must divide every mantissa.
+    """
+    D = p ** (n + 1) - 1
+    e = p**n - 1
+    N = (vbound + x_cap - 1) // D
+    rows = min(ulevels - 1, N) + 1
+    ms = reduced_log_rows(p, n, _jmax_for(p, vbound + x_cap))
+    # Terms (t, grade shift, mantissa) of p^j m_j, j >= 1.
+    lterms = []
+    for j, mj in enumerate(ms[1:], 1):
+        if mj.scale > j:
+            raise IntegralityFailure(f"p^{j} m_{j} is not p-integral; the construction is broken")
+        lterms.append(
+            [
+                (t, s, m * p ** (j - mj.scale))
+                for t, m in mj.terms.items()
+                if (s := _grade(f"m_{j}", t, p**j, 1, p, n)) <= N and t < rows
+            ]
+        )
+    t_, g_ = np.indices((rows, N + 1))
+    ydeg = e * t_ + D * (g_ - t_)  # the y-degree of cell (t, g) of F_k, less 1 - k
+
+    F = [TriangleGrid(p, 0, np.zeros((rows, N + 1), dtype=object))]
+    F[0].cells[0, 0] = 1  # F_0 = y
+    for k in range(x_cap):
+        rhs = TriangleGrid(p, 0, np.zeros((rows, N + 1), dtype=object))
+        for j, terms in enumerate([_UNIT, *lterms]):
+            i = k + 1 - p**j
+            if i < 0:
+                break
+            rhs.absorb(F[i].scale, 1, terms, F[i].cells * (ydeg + 1 - i))  # p^j m_j F'_i
+        c = rhs.cells
+        for g in range(1, N + 1):
+            for terms in lterms:
+                for t, s, m in terms:
+                    h = min(rows - t, g - s + 1)
+                    if h > 0:
+                        c[t : t + h, g] -= m * c[:h, g - s]
+        q, a = k + 1, 0
+        while q % p == 0:
+            q, a = q // p, a + 1
+        if q > 1:
+            if any(m % q for m in c[c != 0]):
+                raise IntegralityFailure(
+                    f"F_{k + 1}: {q} does not divide every mantissa of {k + 1} * F_{k + 1}; "
+                    "the construction is broken"
+                )
+            c //= q
+        F.append(TriangleGrid(p, rhs.scale + a, c).strip())
+
+    slab = {}
+    for k, Fk in enumerate(F):
+        # t*d + y-degree = 1 - k + D g <= vbound
+        kept = TriangleGrid(p, Fk.scale, Fk.cells[:, : (vbound + k - 1) // D + 1])
+        for (t, y), r in kept.ungraded(1 - k, n).certify(f"F_{k}").items():
+            slab[(t, y, k)] = r
+    return slab
 
 
 @dataclass
@@ -516,49 +539,22 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     vbound = (M + 2) * d
     a_cap = vbound + p**n
     ulevels = M + 2
-    # Slab sums index rows m + l with l <= vbound, m <= x_cap; the
-    # univariate ones index up to a_cap.  One cap covers both.
-    deg_cap = max(a_cap, vbound + x_cap)
 
-    exp_rows = reduced_exp_rows(p, n, deg_cap, ulevels, d, deg_cap)
-    ms = reduced_log_rows(p, n, _jmax_for(p, deg_cap))
+    # The slab comes from the logarithm alone, by the recursion of
+    # l'(y) dF/dx = l'(x) dF/dy; it needs no exp rows.
+    slab = addition_slab(p, n, ulevels, vbound, x_cap)
 
-    # [i](a) = sum_l E_l i^l (log a)^l, and the slab's x^m coefficient
-    # H_m(y) = sum_l E_(m+l) C(m+l, m) (log y)^l, in one pass over (log a)^l;
-    # all the multiples i share one product E_l (log a)^l per power.
-    # H_0(y) = F(0, y) = y needs no pass.
+    # [i](a) = sum_l E_l i^l (log a)^l, all the multiples i in one pass over
+    # (log a)^l, sharing one product E_l (log a)^l per power.
+    exp_rows = reduced_exp_rows(p, n, a_cap, ulevels, d, a_cap)
+    log_a = _log_grid(reduced_log_rows(p, n, _jmax_for(p, a_cap)), ulevels - 1, d, a_cap)
     multiples = [p] + list(range(2, p)) + [-k for k in range(1, p)]
-    sums = [(0, a_cap, [[i**l for l in range(a_cap + 1)] for i in multiples])]
-    sums += [
-        (m, vbound, [[comb(m + l, m) for l in range(a_cap + 1)]])
-        for m in range(1, x_cap + 1)
-    ]
-    log_a = _log_grid(ms, ulevels - 1, d, a_cap)
-    series, *slab_sums = _power_pass(p, n, ulevels, exp_rows, log_a, a_cap, sums)
-    slab_h = [ScaledGrid(p, 0, {(0, 1): 1})] + [h for (h,) in slab_sums]
+    series = _power_pass(p, n, ulevels, exp_rows, log_a, a_cap, multiples)
 
     p_series_a = series[0].certify("p-series")
     series_a = {1: {(0, 1): 1}}
     for i, grid in zip(multiples[1:], series[1:]):
         series_a[i] = grid.certify(f"[{i}](a)")
-
-    # The slab F(x, y) = sum_m (log x)^m H_m(y); only the total is
-    # p-integral, so it is certified at the end.
-    xt = min(ulevels - 1, vbound // d)
-    log_x = _log_grid(ms, xt, 0, x_cap)
-    slab = ScaledGrid(p)
-    power = ScaledGrid(p, 0, {(0, 0): 1})  # (log x)^m over keys (t, x-degree)
-    for m, h in enumerate(slab_h):
-        slab.absorb(
-            h.scale + power.scale,
-            _slab_mul(power.terms, h.terms, ulevels - 1, d, vbound),
-        )
-        if m < x_cap:
-            power = ScaledGrid(
-                p,
-                power.scale + log_x.scale,
-                _grids_mul(power.terms, log_x.terms, xt, 0, x_cap),
-            ).strip()
 
     return ReducedLawData(
         config=config,
@@ -568,7 +564,7 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
         x_cap=x_cap,
         p_series_a=p_series_a,
         series_a=series_a,
-        slab=slab.certify("addition slab"),
+        slab=slab,
         # [p](x) up to x_cap is a slice of [p](a).  It differs from the
         # untruncated series only at t*d + deg > a_cap, so at t >= M, while
         # the isogeny stage reads t <= M - 1 only: (M - 1)*d + x_cap <= a_cap

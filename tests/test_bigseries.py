@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from fglab.bigseries import (
     _log_grid,
     _power_pass,
     _zero_triangle,
+    addition_slab,
     reduced_exp_rows,
     reduced_log_rows,
 )
+from fglab.cli import main
 from fglab.errors import IntegralityFailure, OffGrading
 from fglab.fgl import ChromaticConfig, i_series, reduce_series
 
@@ -227,6 +230,136 @@ def test_slab_unit_rows(pipeline):
     assert y_rows == {(0, 1, 0): 1}
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+def test_slab_symmetric(pipeline, p, n):
+    """F(x, y) = F(y, x), although the recursion treats x and y apart: every
+    key (t, j, i) with i, j <= x_cap on the kept region matches (t, i, j).
+    F(x, 0) = x: y-degree 0 holds the key (0, 0, 1) alone."""
+    data = pipeline(p, n).data
+    M, d, vb, x_cap = data.config.u_precision, data.d, data.vbound, data.x_cap
+    pairs = [
+        (t, j, i)
+        for t in range(M + 2)
+        for j in range(x_cap + 1)
+        for i in range(j)
+        if t * d + j <= vb
+    ]
+    assert any((t, j, i) in data.slab for t, j, i in pairs)
+    for t, j, i in pairs:
+        assert data.slab.get((t, j, i), 0) == data.slab.get((t, i, j), 0), (t, j, i)
+    assert {k: v for k, v in data.slab.items() if k[1] == 0} == {(0, 0, 1): 1}
+
+
+def _dict_mul(g1: dict, g2: dict, keep) -> dict:
+    out: dict = {}
+    for (t1, d1), m1 in g1.items():
+        for (t2, d2), m2 in g2.items():
+            if keep(t1 + t2, d1 + d2):
+                out[(t1 + t2, d1 + d2)] = out.get((t1 + t2, d1 + d2), 0) + m1 * m2
+    return out
+
+
+def _slab_mul(xgrid: dict, ygrid: dict, tmax: int, w: int, vb: int) -> dict:
+    """Product of an x-side and a y-side grid, keyed (t, ydeg, xdeg); the
+    truncation bounds apply to the y-degree."""
+    out: dict = {}
+    for (t1, xdeg), m1 in xgrid.items():
+        for (t2, ydeg), m2 in ygrid.items():
+            t = t1 + t2
+            if t <= tmax and t * w + ydeg <= vb:
+                out[(t, ydeg, xdeg)] = out.get((t, ydeg, xdeg), 0) + m1 * m2
+    return out
+
+
+def slab_oracle(p, n, M):
+    """The slab by exp on dict grids: F(x, y) = sum_m (log x)^m H_m(y) with
+    H_m(y) = sum_l C(m + l, m) E_(m+l) (log y)^l, kept on t <= M + 1,
+    t*d + y-degree <= vbound; only the total is certified p-integral."""
+    cfg = ChromaticConfig(p, n, u_precision=M)
+    d, x_cap = cfg.eisenstein_degree, cfg.isogeny_x_cap
+    vb, tmax = (M + 2) * d, M + 1
+    deg_cap = vb + x_cap
+    exp_rows = reduced_exp_rows(p, n, deg_cap, M + 2, d, deg_cap)
+    jmax = 0
+    while p ** (jmax + 1) <= deg_cap:
+        jmax += 1
+    ms = reduced_log_rows(p, n, jmax)
+
+    def y_keep(t, deg):
+        return t <= tmax and t * d + deg <= vb
+
+    log_y = _log_grid(ms, tmax, d, vb)
+    H = [ScaledGrid(p, 0, {(0, 1): 1})] + [ScaledGrid(p) for _ in range(x_cap)]
+    power = ScaledGrid(p, 0, {(0, 0): 1})  # (log y)^l
+    for l in range(vb + 1):
+        for m in range(1, x_cap + 1):
+            row = exp_rows[m + l]
+            prod = row_grid_mul_oracle(row.terms, power.terms, tmax, d, vb)
+            H[m].absorb(row.scale + power.scale, {k: comb(m + l, m) * v for k, v in prod.items()})
+        power = ScaledGrid(
+            p, power.scale + log_y.scale, _dict_mul(power.terms, log_y.terms, y_keep)
+        ).strip()
+
+    xt = min(tmax, vb // d)
+    log_x = _log_grid(ms, xt, 0, x_cap)
+    slab = ScaledGrid(p)
+    power = ScaledGrid(p, 0, {(0, 0): 1})  # (log x)^m over keys (t, x-degree)
+    for h in H:
+        slab.absorb(h.scale + power.scale, _slab_mul(power.terms, h.terms, tmax, d, vb))
+        power = ScaledGrid(
+            p,
+            power.scale + log_x.scale,
+            _dict_mul(power.terms, log_x.terms, lambda t, deg: t <= xt and deg <= x_cap),
+        ).strip()
+    return slab.certify("oracle slab")
+
+
+@pytest.mark.parametrize(
+    "p,n,M",
+    [(2, 1, 2), (2, 1, 8), (2, 1, 32), (3, 1, 8), (2, 2, 8), (2, 3, 4), (3, 2, 4), (5, 1, 6)],
+)
+def test_slab_matches_exp_oracle(pipeline, p, n, M):
+    """The recursion's certified residues equal those of the exp route."""
+    if (p, n, M) == (2, 1, 32):
+        slab = pipeline(2, 1).data.slab
+    else:
+        slab = bigseries.build_reduced_law_data(ChromaticConfig(p, n, u_precision=M)).slab
+    assert slab == slab_oracle(p, n, M)
+
+
+def _corrupt_m1(monkeypatch, scale_shift: int, key: int, mantissa):
+    def rows(p, n, jmax):
+        ms = reduced_log_rows(p, n, jmax)
+        ms[1] = ScaledGrid(p, ms[1].scale + scale_shift, {**ms[1].terms, key: mantissa})
+        return ms
+
+    monkeypatch.setattr(bigseries, "reduced_log_rows", rows)
+
+
+def test_slab_failure_paths(monkeypatch, capsys):
+    """At p = 2, m_1 = u/2 sits at x-degree 2 = 1 + t + 3j.  An off-grading
+    key raises OffGrading.  IntegralityFailure names what breaks: 2 m_1 not
+    integral (scale 2); F_2 left with a 2 in its denominator on the kept
+    region (m_1 = u); a mantissa 1/3 in m_1, which 3 cannot divide out of
+    3 F_3.  Any law with log in Z[1/p][u] passes that division, so only a
+    value outside Z[1/p] reaches it; verify exits 1 on it."""
+    for key in [0, 4]:  # (0, 2) misses the grading; (4, 2) needs j = -1
+        _corrupt_m1(monkeypatch, 0, key, 1)
+        with pytest.raises(OffGrading, match=rf"m_1: key \({key}, 2\)"):
+            addition_slab(2, 1, 7, 14, 8)
+    _corrupt_m1(monkeypatch, 1, 1, 1)
+    with pytest.raises(IntegralityFailure, match=r"p\^1 m_1 is not p-integral"):
+        addition_slab(2, 1, 7, 14, 8)
+    _corrupt_m1(monkeypatch, 0, 1, 2)  # m_1 = u: F is no longer 2-integral
+    with pytest.raises(IntegralityFailure, match=r"F_2: coefficient at \(3, 2\)"):
+        addition_slab(2, 1, 7, 14, 8)
+    _corrupt_m1(monkeypatch, 0, 1, Fraction(1, 3))
+    with pytest.raises(IntegralityFailure, match=r"F_3: 3 does not divide"):
+        addition_slab(2, 1, 7, 14, 8)
+    assert main(["verify", "--p", "2", "--n", "1", "--u-prec", "5"]) == 1
+    assert "IntegralityFailure: F_3: 3 does not divide" in capsys.readouterr().err
+
+
 def test_grid_to_residues_certifies():
     # 3 / 2 is not 2-integral: the mantissa 3 at scale 1 fails
     with pytest.raises(IntegralityFailure):
@@ -354,16 +487,15 @@ def test_off_grading_key_raises(monkeypatch):
     ms = reduced_log_rows(2, 1, 3)
     log_a = _log_grid(ms, 5, 2, 20)
     rows = reduced_exp_rows(2, 1, 20, 6, 2, 20)
-    sums = [(0, 20, [[1] * 21])]
     # (0, 2) misses k = 1 + t + 3j; (3, 1) needs j = -1.
     for key in [(0, 2), (3, 1)]:
         bad = ScaledGrid(2, log_a.scale, {**log_a.terms, key: 1})
         with pytest.raises(OffGrading, match=rf"log a: key \({key[0]}, {key[1]}\)"):
-            _power_pass(2, 1, 6, rows, bad, 20, sums)
+            _power_pass(2, 1, 6, rows, bad, 20, [1])
     bad_rows = list(rows)
     bad_rows[4] = ScaledGrid(2, rows[4].scale, {**rows[4].terms, 1: 1})
     with pytest.raises(OffGrading, match=r"E_4: key \(1, 4\)"):
-        _power_pass(2, 1, 6, bad_rows, log_a, 20, sums)
+        _power_pass(2, 1, 6, bad_rows, log_a, 20, [1])
     # m_1 sits at x-degree 2 = 1 + t + 3j: (0, 2) misses it, (4, 2) needs j = -1.
     for key in [(0, 2), (4, 2)]:
         bad_ms = reduced_log_rows(2, 1, 4)
