@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import IntegralityFailure
 from .scalars import is_p_integral, reduce_mod_p, validate_prime
-from .series import MultiSeries, RationalRing
+from .series import MultiSeries
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ class ChromaticConfig:
         return big * big * (self.u_precision + 2) // 1000
 
 
-QQ = RationalRing()
-
 
 def c_poly(p: int, m: int) -> MultiSeries:
     """C_{p^m}(x,y) = (x^(p^m) + y^(p^m) - (x+y)^(p^m)) / p, an integral
@@ -101,7 +99,7 @@ def c_poly(p: int, m: int) -> MultiSeries:
         if 0 < i < q:
             terms[(q - i, i)] = Fraction(-binom, p)
         binom = binom * (q - i) // (i + 1)
-    return MultiSeries(QQ, variables, q, terms)
+    return MultiSeries(variables, q, terms)
 
 
 def gamma(i: int, k: int, p: int) -> Fraction:
@@ -119,12 +117,12 @@ def hazewinkel_coefficients(cfg: ChromaticConfig, jmax: int) -> list[MultiSeries
     uvars = cfg.u_names
 
     def upoly(terms):
-        return MultiSeries(QQ, uvars, 0, terms)
+        return MultiSeries(uvars, 0, terms)
 
     zero_exp = (0,) * n
     ms = [upoly({zero_exp: Fraction(1)})]
     for j in range(1, jmax + 1):
-        acc = MultiSeries.zero(QQ, uvars, 0)
+        acc = MultiSeries.zero(uvars, 0)
         for i in range(j):
             k = j - i
             if k <= n:
@@ -175,7 +173,7 @@ def _embed_log(ms_list, cfg: ChromaticConfig, varname: str, variables) -> MultiS
             for uk, ev in zip(cfg.u_names, ue):
                 e[pos[uk]] = ev
             terms[tuple(e)] = c
-    return MultiSeries(QQ, variables, D, terms)
+    return MultiSeries(variables, D, terms)
 
 
 def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
@@ -225,9 +223,9 @@ def build_fgl(config: ChromaticConfig) -> FormalGroupLaw:
 def fgl_axiom_checks(F: MultiSeries) -> list:
     """Unit, symmetry and associativity rows of an addition law F(x, y, u1..un)."""
     fvars, D = F.variables, F.formal_cap
-    x = MultiSeries.variable(QQ, fvars, "x", D)
-    y = MultiSeries.variable(QQ, fvars, "y", D)
-    zero = MultiSeries.zero(QQ, fvars, D)
+    x = MultiSeries.variable(fvars, "x", D)
+    y = MultiSeries.variable(fvars, "y", D)
+    zero = MultiSeries.zero(fvars, D)
 
     def row(name: str, defect: MultiSeries) -> CheckRow:
         ok = defect.is_zero()
@@ -235,9 +233,9 @@ def fgl_axiom_checks(F: MultiSeries) -> list:
 
     swapped = F.rename_variables({"x": "y", "y": "x"})
     avars = ("x", "y", "z") + fvars[2:]
-    xa = MultiSeries.variable(QQ, avars, "x", D)
-    ya = MultiSeries.variable(QQ, avars, "y", D)
-    za = MultiSeries.variable(QQ, avars, "z", D)
+    xa = MultiSeries.variable(avars, "x", D)
+    ya = MultiSeries.variable(avars, "y", D)
+    za = MultiSeries.variable(avars, "z", D)
     fxy = F.compose({"x": xa, "y": ya})
     fyz = F.compose({"x": ya, "y": za})
     return [
@@ -267,12 +265,12 @@ def i_series(F: FormalGroupLaw, i: int) -> MultiSeries:
     cfg = F.config
     xvars = ("x",) + cfg.u_names
     if i == 0:
-        out = MultiSeries.zero(QQ, xvars, cfg.formal_cap)
+        out = MultiSeries.zero(xvars, cfg.formal_cap)
     elif i == 1:
-        out = MultiSeries.variable(QQ, xvars, "x", cfg.formal_cap)
+        out = MultiSeries.variable(xvars, "x", cfg.formal_cap)
     elif i > 1:
         prev = i_series(F, i - 1)
-        x = MultiSeries.variable(QQ, xvars, "x", cfg.formal_cap)
+        x = MultiSeries.variable(xvars, "x", cfg.formal_cap)
         out = F.addition.compose({"x": prev, "y": x})
     else:
         out = formal_inverse(F).compose({"x": i_series(F, -i)})
@@ -314,21 +312,6 @@ class CheckRow:
         return "horizon-flagged" if self.horizon else "pass"
 
 
-@dataclass
-class CongruenceReport:
-    rows: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def row(self, name: str) -> CheckRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
 def ideal_text(kill_upto: int, extra: str = "", with_p: bool = False) -> str:
     """Human rendering of the working ideal, e.g. ``(p, u_1, u_2, x^10)``."""
     parts = (["p"] if with_p else []) + [f"u_{j}" for j in range(1, kill_upto + 1)]
@@ -342,8 +325,8 @@ def k_label(k: int, n: int) -> str:
     return "top" if k > n else f"k{k}"
 
 
-def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
-    """Report the axiom rows certified at construction and check every
+def verify_fgl_congruences(F: FormalGroupLaw) -> list[CheckRow]:
+    """The axiom rows certified at construction, then a row for every
     structural congruence of the constructed coordinate, for 1 <= k <= n+1.
 
     The addition congruence against u_k C_{p^k} is an exact identity over the
@@ -357,8 +340,8 @@ def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
     rows.append(CheckRow("fgl_integrality", True, detail="certified at construction"))
 
     fvars = F.addition.variables
-    x = MultiSeries.variable(QQ, fvars, "x", cfg.formal_cap)
-    y = MultiSeries.variable(QQ, fvars, "y", cfg.formal_cap)
+    x = MultiSeries.variable(fvars, "x", cfg.formal_cap)
+    y = MultiSeries.variable(fvars, "y", cfg.formal_cap)
 
     # Addition congruences, exact over the rationals.
     for k in range(1, n + 2):
@@ -367,9 +350,9 @@ def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
         keep_vars = tuple(v for v in fvars if v not in kill)
         lhs = F.addition.substitute_zero(kill).truncate_formal(q)
         if k <= n:
-            uk = MultiSeries.variable(QQ, keep_vars, f"u{k}", q)
+            uk = MultiSeries.variable(keep_vars, f"u{k}", q)
         else:
-            uk = MultiSeries.one(QQ, keep_vars, q)
+            uk = MultiSeries.one(keep_vars, q)
         ck = c_poly(p, k).extend_variables(keep_vars)
         rhs = (x + y).substitute_zero(kill).truncate_formal(q) + uk * ck
         defect = lhs - rhs
@@ -384,7 +367,7 @@ def verify_fgl_congruences(F: FormalGroupLaw) -> CongruenceReport:
 
     for i in range(p * p + 2):
         rows.extend(iseries_congruence(F, i, k)[0] for k in range(1, n + 2))
-    return CongruenceReport(rows)
+    return rows
 
 
 def iseries_congruence(F: FormalGroupLaw, i: int, k: int) -> tuple:
@@ -426,6 +409,6 @@ def iseries_congruence(F: FormalGroupLaw, i: int, k: int) -> tuple:
         f"iseries_congruence_i{i}_{k_label(k, n)}",
         ok,
         detail=detail,
-        defect="" if ok else MultiSeries(QQ, keep_vars, q, defect).render(),
+        defect="" if ok else MultiSeries(keep_vars, q, defect).render(),
     )
-    return row, MultiSeries(QQ, keep_vars, q, got)
+    return row, MultiSeries(keep_vars, q, got)

@@ -1,21 +1,20 @@
-"""Truncated multivariate polynomial/series arithmetic over an exact scalar ring.
+"""Truncated multivariate polynomial/series arithmetic over the rationals.
 
-A :class:`MultiSeries` stores a sparse map from exponent tuples to scalars.
-Variables named among ``x y z a`` are formal; a series keeps only the terms of
-total formal degree <= ``formal_cap``, i.e. it is an element of
-R[[formal vars]] / (formal vars)^(cap+1).  Every other variable (conventionally
-``u1..un`` or ``u``) is a coefficient variable and is never truncated.
+A :class:`MultiSeries` stores a sparse map from exponent tuples to exact
+rational coefficients, each a ``Fraction`` or an ``int``.  Variables named
+among ``x y z a`` are formal; a series keeps only the terms of total formal
+degree <= ``formal_cap``, i.e. it is an element of
+Q[u][[formal vars]] / (formal vars)^(cap+1).  Every other variable
+(conventionally ``u1..un`` or ``u``) is a coefficient variable and is never
+truncated.
 
 Truncation is applied eagerly after every arithmetic step; since all
 downstream claims are congruences modulo the cap, correctness is unaffected
 and intermediate sizes stay bounded.  The product never forms a pair whose
 formal degrees sum past the cap.
 
-The scalar ring is pluggable: anything with ``zero``, ``one``, ``from_int``,
-``is_zero`` and ``inv`` works, with scalar values combined through their own
-operators.  The exact rationals are the one adapter: series live in the
-exact-rational stage, which hands residues mod p out as plain int grids
-(``fgl.reduce_series``), never as series over F_p.
+Series live in the exact-rational stage, which hands residues mod p out as
+plain int grids (``fgl.reduce_series``), never as series over F_p.
 """
 
 from __future__ import annotations
@@ -34,43 +33,12 @@ from .errors import (
 FORMAL_NAMES = ("x", "y", "z", "a")
 
 
-class RationalRing:
-    """Scalar adapter for exact rationals."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(k: int) -> Fraction:
-        return Fraction(k)
-
-    @staticmethod
-    def is_zero(c) -> bool:
-        return c == 0
-
-    @staticmethod
-    def inv(c):
-        if c == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return Fraction(1) / c
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash("RationalRing")
-
-    def __repr__(self):
-        return "RationalRing()"
-
-
 class MultiSeries:
     """Sparse truncated series; immutable, safe to share."""
 
-    __slots__ = ("ring", "variables", "formal_cap", "terms", "_formal_idx")
+    __slots__ = ("variables", "formal_cap", "terms", "_formal_idx")
 
-    def __init__(self, ring, variables, formal_cap, terms):
-        self.ring = ring
+    def __init__(self, variables, formal_cap, terms):
         self.variables = tuple(variables)
         self.formal_cap = formal_cap
         self._formal_idx = tuple(
@@ -79,52 +47,47 @@ class MultiSeries:
         self.terms = {
             e: c
             for e, c in terms.items()
-            if not ring.is_zero(c) and self.formal_degree(e) <= formal_cap
+            if c and self.formal_degree(e) <= formal_cap
         }
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, variables, formal_cap) -> "MultiSeries":
-        return cls(ring, variables, formal_cap, {})
+    def zero(cls, variables, formal_cap) -> "MultiSeries":
+        return cls(variables, formal_cap, {})
 
     @classmethod
-    def constant(cls, ring, c, variables, formal_cap) -> "MultiSeries":
+    def constant(cls, c, variables, formal_cap) -> "MultiSeries":
         e = (0,) * len(tuple(variables))
-        return cls(ring, variables, formal_cap, {e: c})
+        return cls(variables, formal_cap, {e: c})
 
     @classmethod
-    def one(cls, ring, variables, formal_cap) -> "MultiSeries":
-        return cls.constant(ring, ring.one, variables, formal_cap)
+    def one(cls, variables, formal_cap) -> "MultiSeries":
+        return cls.constant(Fraction(1), variables, formal_cap)
 
     @classmethod
-    def variable(cls, ring, variables, name, formal_cap) -> "MultiSeries":
+    def variable(cls, variables, name, formal_cap) -> "MultiSeries":
         variables = tuple(variables)
         e = [0] * len(variables)
         e[variables.index(name)] = 1
-        return cls(ring, variables, formal_cap, {tuple(e): ring.one})
+        return cls(variables, formal_cap, {tuple(e): Fraction(1)})
 
     def _wrap(self, terms) -> "MultiSeries":
         """A series over this one's variables from terms already within the
         formal cap, so only zero coefficients are dropped."""
         out = object.__new__(MultiSeries)
-        out.ring, out.variables, out.formal_cap = self.ring, self.variables, self.formal_cap
+        out.variables, out.formal_cap = self.variables, self.formal_cap
         out._formal_idx = self._formal_idx
-        is_zero = self.ring.is_zero
-        out.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+        out.terms = {e: c for e, c in terms.items() if c}
         return out
 
     def formal_degree(self, exps) -> int:
         return sum(exps[i] for i in self._formal_idx)
 
-    # -- basic ring operations ----------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other: "MultiSeries"):
-        if (
-            self.variables != other.variables
-            or self.formal_cap != other.formal_cap
-            or self.ring != other.ring
-        ):
+        if self.variables != other.variables or self.formal_cap != other.formal_cap:
             raise VariableMismatch(
                 f"incompatible series: {self.variables}/{self.formal_cap}"
                 f" vs {other.variables}/{other.formal_cap}"
@@ -167,7 +130,7 @@ class MultiSeries:
     def __pow__(self, n: int) -> "MultiSeries":
         if n < 0:
             raise NegativePower(f"power {n} of a series")
-        result = MultiSeries.one(self.ring, self.variables, self.formal_cap)
+        result = MultiSeries.one(self.variables, self.formal_cap)
         base = self
         while n:
             if n & 1:
@@ -199,10 +162,10 @@ class MultiSeries:
     def coefficient(self, **exps):
         """Scalar coefficient of the monomial with the named exponents."""
         e = tuple(exps.get(v, 0) for v in self.variables)
-        return self.terms.get(e, self.ring.zero)
+        return self.terms.get(e, Fraction(0))
 
     def constant_term(self):
-        return self.terms.get((0,) * len(self.variables), self.ring.zero)
+        return self.terms.get((0,) * len(self.variables), Fraction(0))
 
     # -- substitution ---------------------------------------------------------
 
@@ -229,7 +192,7 @@ class MultiSeries:
                 raise VariableMismatch(f"{name} is not a formal variable of this series")
             if (s.variables, s.formal_cap) != (t_vars, t_fcap):
                 raise VariableMismatch("substituted series disagree on variables/caps")
-            if not self.ring.is_zero(s.constant_term()):
+            if s.constant_term():
                 raise NonzeroConstantTerm(f"substitution for {name} has a constant term")
 
         pos = {v: i for i, v in enumerate(t_vars)}
@@ -251,7 +214,7 @@ class MultiSeries:
         powers = {name: [s] for name, s in substitutions.items()}  # s^1, s^2, ...
         out: dict = {}
         for key, coeffs in groups.items():
-            term = MultiSeries(self.ring, t_vars, t_fcap, coeffs)
+            term = MultiSeries(t_vars, t_fcap, coeffs)
             for name, e in zip(subs, key):
                 if e:
                     row = powers[name]
@@ -260,7 +223,7 @@ class MultiSeries:
                     term = term * row[e - 1]
             for e, c in term.terms.items():
                 out[e] = out[e] + c if e in out else c
-        return MultiSeries(self.ring, t_vars, t_fcap, out)
+        return MultiSeries(t_vars, t_fcap, out)
 
     def substitute_zero(self, names) -> "MultiSeries":
         """Set the named variables to zero (dropping their terms and the
@@ -274,18 +237,13 @@ class MultiSeries:
                 continue
             ke = tuple(e[i] for i in keep)
             out[ke] = out[ke] + c if ke in out else c
-        return MultiSeries(
-            self.ring,
-            tuple(self.variables[i] for i in keep),
-            self.formal_cap,
-            out,
-        )
+        return MultiSeries(tuple(self.variables[i] for i in keep), self.formal_cap, out)
 
     def rename_variables(self, mapping: dict) -> "MultiSeries":
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(new_vars)) != len(new_vars):
             raise VariableMismatch("renaming collides variable names")
-        return MultiSeries(self.ring, new_vars, self.formal_cap, self.terms)
+        return MultiSeries(new_vars, self.formal_cap, self.terms)
 
     def extend_variables(self, variables) -> "MultiSeries":
         """Reinterpret over a larger variable list (new variables exponent 0)."""
@@ -297,11 +255,11 @@ class MultiSeries:
             for v, ev in zip(self.variables, e):
                 ne[pos[v]] = ev
             out[tuple(ne)] = c
-        return MultiSeries(self.ring, variables, self.formal_cap, out)
+        return MultiSeries(variables, self.formal_cap, out)
 
     def truncate_formal(self, cap: int) -> "MultiSeries":
         """Tighten the formal cap (drops terms of higher total formal degree)."""
-        return MultiSeries(self.ring, self.variables, cap, self.terms)
+        return MultiSeries(self.variables, cap, self.terms)
 
     def formal_slice(self, degree: int) -> "MultiSeries":
         """The homogeneous part of the given total formal degree."""
@@ -329,7 +287,7 @@ class MultiSeries:
 
         Returns r with self(r(x)) = x = r(self(x)) up to the caps.
         """
-        if not self.ring.is_zero(self.constant_term()):
+        if self.constant_term():
             raise NonzeroConstantTerm("reversion needs zero constant term")
         var = self._formal_variable_of()
         vi = self.variables.index(var)
@@ -341,13 +299,12 @@ class MultiSeries:
                 raise NonUnitLinearCoefficient(
                     "linear coefficient mixes u-variables; not a scalar unit"
                 )
-        lin = self.terms.get(lin_exp, self.ring.zero)
-        try:
-            lin_inv = self.ring.inv(lin)
-        except ZeroDivisionError:
-            raise NonUnitLinearCoefficient("linear coefficient is zero") from None
+        lin = self.terms.get(lin_exp, 0)
+        if not lin:
+            raise NonUnitLinearCoefficient("linear coefficient is zero")
+        lin_inv = Fraction(1) / lin
 
-        x = MultiSeries.variable(self.ring, self.variables, var, self.formal_cap)
+        x = MultiSeries.variable(self.variables, var, self.formal_cap)
         r = x.scale(lin_inv)
         for degree in range(2, self.formal_cap + 1):
             defect = self.compose({var: r}) - x

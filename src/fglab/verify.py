@@ -76,7 +76,7 @@ def guard_config(cfg: ChromaticConfig, force: bool = False):
 class Pipeline:
     config: ChromaticConfig
     law: FormalGroupLaw
-    congruences: object
+    congruences: list[CheckRow]
     data: ReducedLawData
     factorization: WeierstrassFactorization
     ring: DvrRing
@@ -567,7 +567,7 @@ def run_verify(
     t_total = time.perf_counter()
     pipe = build_pipeline(p, n, x_deg, u_prec)
     report = RunReport(config=_report_config(cfg, "verify"))
-    report.extend(pipe.congruences.rows)
+    report.extend(pipe.congruences)
     report.extend(reduced_series_rows(pipe))
     report.extend(weierstrass_rows(pipe))
     report.extend(dvr_rows(pipe))

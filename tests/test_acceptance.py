@@ -35,7 +35,7 @@ def _line(num: int, ok: bool, desc: str):
 @pytest.mark.parametrize("p,n", CONFIGS)
 def test_criterion_1_fgl_axioms_and_addition_congruences(pipeline, p, n):
     pipe = pipeline(p, n)
-    rows = {r.name: r for r in pipe.congruences.rows}
+    rows = {r.name: r for r in pipe.congruences}
     ok = all(
         rows[name].ok
         for name in ("fgl_unit_x", "fgl_unit_y", "fgl_symmetry", "fgl_associativity",
@@ -57,7 +57,7 @@ def test_criterion_1_fgl_axioms_and_addition_congruences(pipeline, p, n):
 @pytest.mark.parametrize("p,n", CONFIGS)
 def test_criterion_2_iseries_table(pipeline, p, n):
     pipe = pipeline(p, n)
-    rows = {r.name: r for r in pipe.congruences.rows}
+    rows = {r.name: r for r in pipe.congruences}
     imax = p * p + 1
     wanted = []
     for i in range(imax + 1):

@@ -4,19 +4,32 @@ show up only under ``perfbench/run.py --trace 1``."""
 
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
 import fglab.verify
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+PERFBENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def load_perfbench(name: str):
+    """A perfbench script loaded as a module, with its directory on the path
+    while it imports (child.py imports calibrate.py from there)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH_DIR, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, PERFBENCH_DIR)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH_DIR)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def test_tracer_targets_resolve():
@@ -44,7 +57,7 @@ def test_tracer_hooks_read_live_fields():
     import fglab.descent
     from fglab.fgl import ChromaticConfig
     from fglab.scalars import USeries
-    from fglab.series import MultiSeries, RationalRing
+    from fglab.series import MultiSeries
 
     tracer_module = load_tracer()
     modules = [m for k, m in sys.modules.items() if k.startswith("fglab") and m]
@@ -63,7 +76,7 @@ def test_tracer_hooks_read_live_fields():
     try:
         fglab.bigseries.build_reduced_law_data(ChromaticConfig(2, 1, u_precision=4))
         fglab.descent.descent_run(USeries.monomial(2, 32, 5), op)
-        x = MultiSeries.variable(RationalRing(), ("x",), "x", 4)
+        x = MultiSeries.variable(("x",), "x", 4)
         (x + x * x) * (x + x * x)
     finally:
         tracer.uninstall()
@@ -75,3 +88,33 @@ def test_tracer_hooks_read_live_fields():
     assert c["descent.steps"] > 0
     assert c["series.mul_pairs"] > 0 and c["series.mul_result_terms"] > 0
     assert tracer.summary()["descent.run_calls"] == 1
+
+
+def test_reference_digests_recompute():
+    """The benchmark's correctness gate: the four digests recorded in
+    perfbench/references.json, recomputed with the calls perfbench/child.py
+    makes for its cold verify and its seed-0 reference batch."""
+    with open(os.path.join(PERFBENCH_DIR, "references.json")) as fh:
+        refs = json.load(fh)
+    digest = load_perfbench("child").digest  # sha256 of the timing-stripped bytes
+    verify, descent = fglab.verify.run_verify, fglab.verify.run_descent_command
+    assert digest(verify(2, 2).to_dict()) == refs["verify"]["2-2-32"]
+    assert digest(verify(2, 1, 0, 96, force=True).to_dict()) == refs["verify"]["2-1-96"]
+    assert (digest(descent(2, 2, u_prec=32, random_count=100, seed=0).to_dict())
+            == refs["descent"]["2-2-32-b100"])
+    assert (digest(descent(2, 1, u_prec=96, random_count=10, seed=0, force=True).to_dict())
+            == refs["descent"]["2-1-96-b10"])
+
+
+def test_timed_batch_seeds_pass_the_gate():
+    """The timed batches run at seeds other than 0: at (2,2), seeds 1-20 of
+    the workload's batch shape pass every row and end every trace at a unit,
+    by the child's own rule."""
+    is_unit = load_perfbench("child").is_unit
+    for seed in range(1, 21):
+        payload = fglab.verify.run_descent_command(
+            2, 2, u_prec=32, random_count=100, seed=seed
+        ).to_dict()
+        assert len(payload["descent_traces"]) == 100
+        assert all(row["status"] == "pass" for row in payload["checks"]), seed
+        assert all(is_unit(tr["terminal"]) for tr in payload["descent_traces"]), seed

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fglab.errors import InexactDivision, NeitherSignHolds
+from fglab.errors import InexactDivision, NeitherSignHolds, PrecisionExhausted
 from fglab.isogeny import (
     FracElement,
     equal_within_prec,
     sign_check,
 )
+from fglab.verify import build_pipeline
 
 
 class TestFracElement:
@@ -207,6 +210,27 @@ class TestCrossPrecision:
 
     def test_31_m32_agrees_with_m40_below_prec(self, pipeline):
         _assert_agree_below_prec(pipeline(3, 1), pipeline(3, 1, 40))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sets(st.integers(3, 48), min_size=2, max_size=2).map(sorted))
+    def test_21_agrees_across_random_precisions(self, precisions):
+        """At (2,1) and any M1 < M2 <= 48, the M1 run either refuses with
+        PrecisionExhausted (M1 = 3..5 do) or agrees with the M2 run on every
+        claimed monomial, and on g mod u^M1.  M1 = 2 is left out: there the
+        triangular solve claims a pole of Q_8 (IntegralityFailure) where it
+        should run out of precision.  The builds bypass the pipeline cache,
+        so that random M do not evict the stock pipelines."""
+        m1, m2 = precisions
+        try:
+            low = build_pipeline.__wrapped__(2, 1, 0, m1)
+        except PrecisionExhausted:
+            assert m1 < 6
+            return
+        high = build_pipeline.__wrapped__(2, 1, 0, m2)
+        _assert_agree_below_prec(low, high)
+        assert [c.coeffs for c in low.ring.g.coefficients] == [
+            c.coeffs[:m1] for c in high.ring.g.coefficients
+        ]
 
 
 def _assert_agree_below_prec(low, high):
