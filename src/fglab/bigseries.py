@@ -46,15 +46,19 @@ and the slab recursion its F_k, as object arrays of Python ints indexed
 (t, g) with g = t + j <= N and t below the u-level count; cells with t > g
 stay zero.  Multiplying by a sparse factor shifts the array by each term's
 (t, g), one slice update per term, and the slices end at the array's bounds,
-so truncated cells are never formed.
+so truncated cells are never formed.  Terms that share a mantissa share one
+big-int product (log a has few distinct mantissas, all p-powers at p = 2),
+each E_l * (log a)^l enters the sums only over the block its terms can
+reach, and a strip finds the common p-power by one gcd.
 
 The exp rows are solved on the same grading, one total grade g at a time:
 exp^e is kept as columns g, each a run of cells over t with one scale.
 Column g of exp is -sum_j m_j * exp^(p^j) in column g, and every term of m_j
 (j >= 1) raises the grade by at least 1, so it needs only columns below g of
-the powers; each power on the addition chain then gains its column g as a sum
-of t-convolutions of the columns of its two factors, and a square forms each
-cross pair once.  The rows E_K are read off the columns at the end.
+the powers; each power on the addition chain (p's own chain, scaled by each
+p^j) then gains its column g as a sum of t-convolutions of the columns of its
+two factors, and a square forms each cross pair once.  The rows E_K are read
+off the columns at the end.
 
 The two routes to the same law (this module versus the exact-rational
 bivariate construction) overlap on low degrees; their agreement there is
@@ -64,6 +68,7 @@ asserted by the test suite.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,16 +78,18 @@ from .fgl import ChromaticConfig
 
 
 def _shared_p_power(p: int, cap: int, mantissas) -> int:
-    """The largest g <= cap such that p^g divides every mantissa."""
-    g = cap
-    for m in mantissas:
-        if g == 0:
-            break
-        k = 0
-        while k < g and m % p == 0:
-            m //= p
-            k += 1
-        g = k
+    """The largest g <= cap such that p^g divides every mantissa, or 0 if a
+    mantissa is not an int (a value outside Z[1/p]; no strip is safe).
+
+    One gcd with p^cap is p^g, and it is small from its first step on."""
+    try:
+        q = math.gcd(p**cap, *mantissas)
+    except TypeError:
+        return 0
+    g = 0
+    while q > 1:
+        q //= p
+        g += 1
     return g
 
 
@@ -164,6 +171,27 @@ def _jmax_for(p: int, cap: int) -> int:
     return j
 
 
+def _power_chain(p: int, jmax: int) -> dict[int, tuple[int, int]]:
+    """An addition chain through p, p^2, ..., p^jmax, as {e: (e1, e2)} over
+    its entries e > 1 in increasing order, e = e1 + e2 with e1 and e2 earlier
+    entries or 1.  p's own chain halves each entry; the entries in
+    (p^j, p^(j+1)] are that chain scaled by p^j, (len - 1) * jmax + 1 in all."""
+    base: dict[int, tuple[int, int]] = {}
+
+    def ensure(e: int):
+        if e > 1 and e not in base:
+            ensure(e // 2)
+            ensure(e - e // 2)
+            base[e] = (e // 2, e - e // 2)
+
+    ensure(p)
+    return {
+        p**j * e: (p**j * e1, p**j * e2)
+        for j in range(jmax)
+        for e, (e1, e2) in sorted(base.items())
+    }
+
+
 def _column_mul(out, lo: int, c: int, a: tuple, b: tuple):
     """Add c times the t-convolution of the columns a and b, each (first row,
     scale, cells), into ``out``, whose cells are rows lo, lo + 1, ...
@@ -196,7 +224,7 @@ def reduced_exp_rows(
     K = e + (p^n - 1) t + (p^(n+1) - 1) j.  Column g of exp is
     -sum_j m_j * exp^(p^j) in column g; a term u^t' of m_j raises the grade
     by t' + j' >= 1 (p^j > 1), so column g of exp needs only columns below g
-    of the powers.  Then each power e = e1 + e2 on the addition chain of
+    of the powers.  Then each power e = e1 + e2 on ``_power_chain`` through
     p, p^2, ... gains column g = sum_g1 conv_t(exp^e1[g1], exp^e2[g - g1]);
     a square forms only g1 <= g - g1 and doubles g1 < g - g1.  Each split is
     lifted to the column's scale and the column stripped, so there are no
@@ -207,23 +235,8 @@ def reduced_exp_rows(
     """
     jmax = _jmax_for(p, deg_cap)
     ms = reduced_log_rows(p, n, jmax)
-
-    # Addition chain covering p^1..p^jmax: each entry e = e1 + e2 of earlier ones.
-    chain: list[int] = [1]
-    plan: dict[int, tuple[int, int]] = {}
-
-    def ensure(e: int):
-        if e in chain:
-            return
-        half = e // 2
-        ensure(half)
-        ensure(e - half)
-        plan[e] = (half, e - half)
-        chain.append(e)
-
-    for j in range(1, jmax + 1):
-        ensure(p**j)
-    chain.sort()
+    plan = _power_chain(p, jmax)
+    chain = [1, *plan]
 
     D = p ** (n + 1) - 1
     d = D - (p**n - 1)
@@ -340,15 +353,23 @@ def _zero_triangle(p: int, n: int, w: int, vb: int, tmax: int):
 def _triangle_mul(out, terms: list, cells, f: int):
     """Add f times the product of a sparse factor, terms (t, g, mantissa),
     with the triangle ``cells`` into ``out``: one slice update per term.  The
-    slice bounds are the truncation, so no cell outside ``out`` is formed."""
+    slice bounds are the truncation, so no cell outside ``out`` is formed.
+    Terms that share a mantissa share one product, over the largest slice
+    any of them needs, and each adds its own sub-slice of it."""
     rows, cols = out.shape
     h0, w0 = cells.shape
+    groups: dict = {}
     for t, g, m in terms:
         # Cells [t, g] with t > g are zero (j < 0): rows past w add nothing.
         w = min(w0, cols - g)
         h = min(h0, rows - t, w)
         if h > 0:
-            out[t : t + h, g : g + w] += (m * f) * cells[:h, :w]
+            groups.setdefault(m, []).append((t, g, h, w))
+    for m, places in groups.items():
+        hmax, wmax = max(h for _, _, h, _ in places), max(w for _, _, _, w in places)
+        prod = (m * f) * cells[:hmax, :wmax]
+        for t, g, h, w in places:
+            out[t : t + h, g : g + w] += prod[:h, :w]
     return out
 
 
@@ -367,13 +388,18 @@ class TriangleGrid:
         self.scale = scale
         self.cells = cells
 
-    def absorb(self, scale: int, c: int, terms: list, cells):
-        """Add c * (terms x cells), mantissas given at ``scale``, lifting
-        whichever side has the smaller scale."""
+    def lift(self, scale: int) -> int:
+        """Raise the scale to ``scale`` if it is larger, and return the
+        p-power that lifts mantissas given at ``scale`` to this one."""
         if scale > self.scale:
             self.cells *= self.p ** (scale - self.scale)
             self.scale = scale
-        _triangle_mul(self.cells, terms, cells, c * self.p ** (self.scale - scale))
+        return self.p ** (self.scale - scale)
+
+    def absorb(self, scale: int, c: int, terms: list, cells):
+        """Add c * (terms x cells), mantissas given at ``scale``, lifting
+        whichever side has the smaller scale."""
+        _triangle_mul(self.cells, terms, cells, c * self.lift(scale))
 
     def strip(self) -> "TriangleGrid":
         """``ScaledGrid.strip`` on the cells."""
@@ -408,9 +434,10 @@ def _power_pass(
 ) -> list:
     """[i](a) = sum_l i^l * E_l * (log a)^l for each i in ``multiples``, as
     weight-1 grids on t*d + deg <= vbound, in one pass over the powers
-    (log a)^l: each product E_l * (log a)^l is formed once and absorbed by
-    every sum.  The running power is stripped after each step to keep scales
-    (hence mantissa sizes) bounded.
+    (log a)^l: each product E_l * (log a)^l is formed once and added to
+    every sum over the block it can reach, the rows from the least t and the
+    columns from the least grade of E_l's terms.  The running power is
+    stripped after each step to keep scales (hence mantissa sizes) bounded.
     """
     tmax = ulevels - 1
 
@@ -426,9 +453,11 @@ def _power_pass(
     power = TriangleGrid(p, 0, np.ones((1, 1), dtype=object))
     for l, terms in enumerate(rows):
         if terms:
-            cells = _triangle_mul(zeros(1), terms, power.cells, 1)
+            t0, g0 = min(t for t, _, _ in terms), min(g for _, g, _ in terms)
+            block = _triangle_mul(zeros(1), terms, power.cells, 1)[t0:, g0:]
+            scale = exp_rows[l].scale + power.scale
             for i, out in zip(multiples, outs):
-                out.absorb(exp_rows[l].scale + power.scale, i**l, _UNIT, cells)
+                out.cells[t0:, g0:] += (i**l * out.lift(scale)) * block
         if l + 1 < len(rows):
             power = TriangleGrid(
                 p,

@@ -7,6 +7,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fglab import bigseries
 from fglab.bigseries import (
@@ -14,7 +16,10 @@ from fglab.bigseries import (
     TriangleGrid,
     _grade,
     _log_grid,
+    _power_chain,
     _power_pass,
+    _shared_p_power,
+    _triangle_mul,
     _zero_triangle,
     addition_slab,
     reduced_exp_rows,
@@ -152,6 +157,22 @@ def test_exp_rows_match_k_ordered_oracle(monkeypatch, p, n, M):
             assert (g.scale, list(g.terms.items())) == (w.scale, list(w.terms.items())), (
                 f"{args}: E_{K} differs"
             )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_chain_covers_p_powers(p):
+    """Every entry is the sum of two earlier ones, the chain reaches each
+    p^j, and it is p's own chain once per level: no longer than
+    (len(p's chain) - 1) * jmax + 1."""
+    own = len(_power_chain(p, 1)) + 1
+    for jmax in range(6):
+        plan = _power_chain(p, jmax)
+        chain = [1, *plan]
+        assert chain == sorted(set(chain))
+        for e, (e1, e2) in plan.items():
+            assert e1 + e2 == e and e1 in chain[: chain.index(e)] and e2 in chain[: chain.index(e)]
+        assert {p**j for j in range(1, jmax + 1)} <= set(chain)
+        assert len(chain) <= (own - 1) * jmax + 1
 
 
 def small_route_pseries(F):
@@ -360,6 +381,50 @@ def test_slab_failure_paths(monkeypatch, capsys):
     assert "IntegralityFailure: F_3: 3 does not divide" in capsys.readouterr().err
 
 
+def trial_division_p_power(p, cap, mantissas):
+    """Reference: trial-divide each mantissa by p, at most down to the
+    smallest count so far."""
+    g = cap
+    for m in mantissas:
+        if g == 0:
+            break
+        k = 0
+        while k < g and m % p == 0:
+            m //= p
+            k += 1
+        g = k
+    return g
+
+
+@example(p=3, cap=5, parts=[], fraction=None)  # nothing bounds g: cap
+@example(p=3, cap=5, parts=[(0, 0), (0, 3)], fraction=None)  # all zero: cap
+@example(p=3, cap=0, parts=[(1, 2), (1, 3)], fraction=None)
+@example(p=2, cap=3, parts=[(-1, 9), (1, 7)], fraction=None)  # deeper than cap
+@example(p=2, cap=3, parts=[(-5, 2), (0, 0), (1, 7)], fraction=None)
+@example(p=2, cap=3, parts=[(1, 2)], fraction=(1, Fraction(1, 3)))
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    cap=st.integers(0, 8),
+    parts=st.lists(
+        st.tuples(st.integers(-(10**12), 10**12), st.integers(0, 12)), max_size=8
+    ),
+    fraction=st.none()
+    | st.tuples(st.integers(0, 8), st.fractions().filter(lambda f: f.denominator > 1)),
+)
+def test_shared_p_power_matches_trial_division(p, cap, parts, fraction):
+    """One gcd gives what trial division gives: for negative mantissas, for
+    zeros (which bound nothing; all zeros give cap), for cap = 0, for
+    p-powers deeper than cap, and 0 for a value outside Z."""
+    mantissas = [u * p**k for u, k in parts]
+    if fraction is not None:
+        mantissas.insert(min(fraction[0], len(mantissas)), fraction[1])
+    want = trial_division_p_power(p, cap, mantissas)
+    assert _shared_p_power(p, cap, mantissas) == want
+    assert _shared_p_power(p, cap, np.array(mantissas + [0], dtype=object)) == want
+    if not any(mantissas):
+        assert want == cap
+
+
 def test_grid_to_residues_certifies():
     # 3 / 2 is not 2-integral: the mantissa 3 at scale 1 fails
     with pytest.raises(IntegralityFailure):
@@ -382,7 +447,8 @@ def test_scaled_grid_absorb_and_strip():
 
 # sha256 of repr(sorted(grid.items())) for every grid of the stock
 # configurations at u-precision 32, recorded before the engine was rebuilt
-# on ScaledGrid.
+# on ScaledGrid; (5,1), with its 8 multiples [i](a), at u-precision 6 from
+# the engine alone, recorded before the power pass summed over blocks.
 GRID_DIGESTS = {
     (2, 1): {
         "p_series_a": "483e0b74334e6ea6057c00a445eb8e848499eb790712b7ac5a0a7af3f4b745c3",
@@ -407,12 +473,28 @@ GRID_DIGESTS = {
         "series_a[1]": "18f3df02a8e86094889bc41745125b67cb74978f257c9e9d0f60a24dd2e2a407",
         "series_a[-1]": "62dcf665c02ff9f731922969dd40bda9133bfae43b2090846ff3204a13125ac1",
     },
+    (5, 1): {
+        "p_series_a": "f3d03bd99f293056f488d038830e8b495bd8e9322f2c07bdcdbd05de1cde9d46",
+        "slab": "b957024f4dcd6fd58f0bbe8c274d9db0ce8d1d6e9b7b8c1ca361f7f2e816faa7",
+        "p_series_x": "e5911654568556176fa40e49c8c97d6615e967e6f1703ffdca166a88051a8751",
+        "series_a[1]": "18f3df02a8e86094889bc41745125b67cb74978f257c9e9d0f60a24dd2e2a407",
+        "series_a[2]": "31609b3e5a4a9f81bf809c088779bbba4110ee8e590a83370e28de0cae03effa",
+        "series_a[3]": "c81ec16fd8a02851efce140d533b35621a138230bf901c120121be71cac183ea",
+        "series_a[4]": "f5d7c6f504daca3f32f6d4d9b14ca0ad3dd55f10378bd5254eac6a7c3b13196e",
+        "series_a[-1]": "8254976118e31e2049f32b53d38412eb4cbb81561754b968487c0d99daff8eee",
+        "series_a[-2]": "ec6e5d4f702529164c0cfda8ce4c2fe51fd05e0936c786a3245cd1aca856d0e1",
+        "series_a[-3]": "44c589c9b21b8aff7e8c9f95ed3f7805e01c79790b60018f816680f3f9e1a4fe",
+        "series_a[-4]": "3efb056e6e0bf2d8df97b4f58593b434b5e73d22dc3da5382afd8c3076a8a80b",
+    },
 }
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_grid_digests_pinned(pipeline, p, n):
-    data = pipeline(p, n).data
+    if (p, n) == (5, 1):
+        data = bigseries.build_reduced_law_data(ChromaticConfig(5, 1, u_precision=6))
+    else:
+        data = pipeline(p, n).data
     grids = {"p_series_a": data.p_series_a, "slab": data.slab, "p_series_x": data.p_series_x}
     for i, g in data.series_a.items():
         grids[f"series_a[{i}]"] = g
@@ -481,6 +563,57 @@ def test_triangle_product_matches_dict_oracle(p, n, seed):
         got = target.ungraded(1 - offset, n)
         assert got.terms and _values(got) == _values(oracle)
         assert max(t for t, _ in got.terms) <= tmax
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_triangle_product_groups_repeated_mantissas(p, n, seed):
+    """Mantissas drawn from a pool of two +-p^k, k < 4, repeat within a row,
+    so terms at different (t, g) share one product and each adds its own
+    sub-slice of it.  The output bounds (tmax = 9 or the grade bound N) cut
+    the slices of one group to different shapes."""
+    rng = random.Random(seed)
+    e, D = p**n - 1, p ** (n + 1) - 1
+    d = D - e
+    vb, offset = 14 * d + rng.randrange(D), D * rng.randrange(6, 12)
+    cut_apart = False
+    for tmax in (9, 60):
+        target = _zero_triangle(p, n, 1 - offset, vb, tmax)
+        rows, cols = target.shape
+        oracle: dict = {}
+        for _ in range(8):
+            l = 1 + e * rng.randrange(3) + D * rng.randrange(2)
+            K = l + offset
+            power = {}
+            for _ in range(30):
+                t, j = rng.randrange(tmax + 1), rng.randrange(12)
+                if t * d + l + e * t + D * j <= vb:
+                    power[(t, l + e * t + D * j)] = rng.randint(-(10**30), 10**30)
+            pool = [rng.choice([-1, 1]) * p ** rng.randrange(4) for _ in range(2)]
+            row = {
+                t: rng.choice(pool)
+                for t in range(K // e + 1)
+                if (K - 1 - e * t) % D == 0 and rng.random() < 0.9
+            }
+            c = rng.randint(-9, 9)
+            for key, m in row_grid_mul_oracle(row, power, tmax, d, vb).items():
+                oracle[key] = oracle.get(key, 0) + c * m
+            cells = np.zeros((tmax + 1, tmax + 12), dtype=object)
+            for (t, k), m in power.items():
+                cells[t, _grade("power", t, k, l, p, n)] = m
+            terms = [(t, _grade("row", t, K, 1, p, n), m) for t, m in row.items()]
+            _triangle_mul(target, terms, cells, c)
+            for m in set(row.values()):
+                shapes = set()
+                for t, g, mm in terms:
+                    w = min(cells.shape[1], cols - g)
+                    h = min(cells.shape[0], rows - t, w)
+                    if mm == m and h > 0:
+                        shapes.add((h, w))
+                cut_apart |= len(shapes) > 1
+        got = TriangleGrid(p, 0, target).ungraded(1 - offset, n).terms
+        assert got and got == {k: m for k, m in oracle.items() if m}
+    assert cut_apart
 
 
 def test_off_grading_key_raises(monkeypatch):
