@@ -41,12 +41,17 @@ j >= 0.  The weights are l for (log a)^l, 1 for [i](a) and 1 - k for F_k,
 the slab's x^k coefficient.
 Since d + p^n - 1 = p^(n+1) - 1, the truncation t*d + k <= vbound becomes
 t + j <= N = (vbound - w) // (p^(n+1) - 1): each grid is a polynomial in
-(t, j) cut at total degree N.  The power pass keeps (log a)^l and its sums,
-and the slab recursion its F_k, as object arrays of Python ints indexed
-(t, g) with g = t + j <= N and t below the u-level count; cells with t > g
-stay zero.  Multiplying by a sparse factor shifts the array by each term's
-(t, g), one slice update per term, and the slices end at the array's bounds,
-so truncated cells are never formed.  Terms that share a mantissa share one
+(t, j) cut at total degree N.  (t, g) with g = t + j is the one layout
+inside this module.  The log rows are graded once, into terms
+(t, g, mantissa) that the exp solve, the power pass and the slab all read;
+the exp rows come out as such terms; and the power pass keeps (log a)^l and
+its sums, and the slab recursion its F_k, as ``TriangleGrid`` object arrays
+of Python ints indexed (t, g) with g <= N and t below the u-level count;
+cells with t > g stay zero.  Keys return to (t, degree) only in
+``TriangleGrid.certify``, where residues leave the module.
+Multiplying by a sparse factor shifts the array by each term's (t, g), one
+slice update per term, and the slices end at the array's bounds, so
+truncated cells are never formed.  Terms that share a mantissa share one
 big-int product (log a has few distinct mantissas, all p-powers at p = 2),
 each E_l * (log a)^l enters the sums only over the block its terms can
 reach, and a strip finds the common p-power by one gcd.
@@ -93,75 +98,30 @@ def _shared_p_power(p: int, cap: int, mantissas) -> int:
     return g
 
 
-class ScaledGrid:
-    """Exact values mantissa * p^(-scale): integer mantissas at one shared scale.
-
-    Keys are t for a u-row and (t, deg) for a grid.  Scales only grow by
-    lifting mantissas with exact p-powers; ``strip`` lowers them again, and
-    ``certify`` is the only way out to residues mod p.
-    """
-
-    __slots__ = ("p", "scale", "terms")
-
-    def __init__(self, p: int, scale: int = 0, terms: dict | None = None):
-        self.p = p
-        self.scale = scale
-        self.terms = {} if terms is None else terms
-
-    def absorb(self, scale: int, terms: dict):
-        """Add mantissas given at ``scale``, lifting whichever side has the smaller scale."""
-        if not terms:
-            return
-        if scale > self.scale:
-            lift = self.p ** (scale - self.scale)
-            self.terms = {k: m * lift for k, m in self.terms.items()}
-            self.scale = scale
-        lift = self.p ** (self.scale - scale)
-        acc = self.terms
-        for k, m in terms.items():
-            acc[k] = acc.get(k, 0) + m * lift
-
-    def strip(self) -> "ScaledGrid":
-        """Drop zero mantissas and divide out the largest common p-power, down
-        to scale 0 at most.  The result depends only on the exact values."""
-        terms = {k: m for k, m in self.terms.items() if m}
-        g = _shared_p_power(self.p, self.scale, terms.values())
-        if g:
-            q = self.p**g
-            terms = {k: m // q for k, m in terms.items()}
-        self.terms, self.scale = terms, self.scale - g
-        return self
-
-    def certify(self, what: str) -> dict:
-        """Certify p-integrality of every value and reduce mod p."""
-        q = self.p**self.scale
-        out = {}
-        for key, m in self.terms.items():
-            if m % q:
-                raise IntegralityFailure(
-                    f"{what}: coefficient at {key} has denominator p^{self.scale} "
-                    "after exact evaluation; the construction is broken"
-                )
-            r = (m // q) % self.p
-            if r:
-                out[key] = r
-        return out
-
-
-def reduced_log_rows(p: int, n: int, jmax: int) -> list[ScaledGrid]:
+def reduced_log_rows(p: int, n: int, jmax: int) -> list[tuple[int, dict]]:
     """Logarithm coefficients m_0..m_jmax of the u_n-specialized law, as
-    u-rows with scale(m_j) = j exactly."""
-    ms = [ScaledGrid(p, 0, {0: 1})]
+    rows (scale, {t: mantissa}) with scale(m_j) = j exactly."""
+    ms = [(0, {0: 1})]
     for j in range(1, jmax + 1):
         # p * m_j = m_{j-n} * u^(p^(j-n)) + m_{j-n-1}, summed at scale j - 1.
-        acc = ScaledGrid(p, j - 1)
-        if j - n >= 0:
-            e = p ** (j - n)
-            acc.absorb(ms[j - n].scale, {t + e: m for t, m in ms[j - n].terms.items()})
-        if j - n - 1 >= 0:
-            acc.absorb(ms[j - n - 1].scale, ms[j - n - 1].terms)
-        ms.append(ScaledGrid(p, j, {t: m for t, m in acc.terms.items() if m}))
+        acc: dict = {}
+        for i in (j - n, j - n - 1):
+            if i >= 0:
+                scale, terms = ms[i]
+                shift, lift = p**i if i == j - n else 0, p ** (j - 1 - scale)
+                for t, m in terms.items():
+                    acc[t + shift] = acc.get(t + shift, 0) + m * lift
+        ms.append((j, {t: m for t, m in acc.items() if m}))
     return ms
+
+
+def _log_terms(p: int, n: int, jmax: int) -> list[tuple[int, list]]:
+    """The rows of ``reduced_log_rows`` graded once: m_j as (scale, [(t, g,
+    mantissa)]), g the total grade of its weight-1 term u^t * a^(p^j)."""
+    return [
+        (scale, [(t, _grade(f"m_{j}", t, p**j, 1, p, n), m) for t, m in terms.items()])
+        for j, (scale, terms) in enumerate(reduced_log_rows(p, n, jmax))
+    ]
 
 
 def _jmax_for(p: int, cap: int) -> int:
@@ -215,10 +175,12 @@ def _column_mul(out, lo: int, c: int, a: tuple, b: tuple):
 
 def reduced_exp_rows(
     p: int, n: int, deg_cap: int, ulevels: int, uweight: int, vbound: int
-) -> list[ScaledGrid]:
+) -> list[tuple[int, list]]:
     """Coefficient rows E_0..E_deg_cap of exp = log^(-1) for the specialized
     law, solved from log(exp(x)) = x on the region t <= ulevels - 1,
-    t*uweight + K <= vbound, K <= deg_cap.
+    t*uweight + K <= vbound, K <= deg_cap.  Each E_K is handed out graded,
+    as (scale, [(t, g, mantissa)]) at its least scale, with its terms by
+    descending t.
 
     The solve runs by total grade g = t + j of the cells u^t x^K of exp^e,
     K = e + (p^n - 1) t + (p^(n+1) - 1) j.  Column g of exp is
@@ -234,7 +196,6 @@ def reduced_exp_rows(
     (p^(n+1) - 1), and K <= deg_cap bounds t below in each column.
     """
     jmax = _jmax_for(p, deg_cap)
-    ms = reduced_log_rows(p, n, jmax)
     plan = _power_chain(p, jmax)
     chain = [1, *plan]
 
@@ -274,11 +235,9 @@ def reduced_exp_rows(
     # Each term u^t' of m_j is a one-cell column at grade shift t' + j',
     # filed under the power exp^(p^j) it multiplies.
     shifts = {
-        p**j: [
-            (_grade(f"m_{j}", t, p**j, 1, p, n), (t, ms[j].scale, np.array([m], dtype=object)))
-            for t, m in ms[j].terms.items()
-        ]
-        for j in range(1, jmax + 1)
+        p**j: [(g, (t, scale, np.array([m], dtype=object))) for t, g, m in terms]
+        for j, (scale, terms) in enumerate(_log_terms(p, n, jmax))
+        if j
     }
     one = (0, 0, np.array([1], dtype=object))
     cols: dict[int, list] = {e: [] for e in chain}  # cols[e][g]: column g of exp^e
@@ -309,26 +268,14 @@ def reduced_exp_rows(
             lo, scale, out = col
             for t, m in enumerate(out.tolist(), lo):
                 if m:
-                    cells[1 + D * g - d * t].append((t, scale, m))
+                    cells[1 + D * g - d * t].append((t, g, scale, m))
     rows = []
     for row in cells:
-        scale = max((s for _, s, _ in row), default=0)
-        rows.append(ScaledGrid(p, scale, {t: m * p ** (scale - s) for t, s, m in row}).strip())
+        scale = max((s for _, _, s, _ in row), default=0)
+        lifted = [m * p ** (scale - s) for _, _, s, m in row]
+        k = _shared_p_power(p, scale, lifted)
+        rows.append((scale - k, [(t, g, m // p**k) for (t, g, _, _), m in zip(row, lifted)]))
     return rows
-
-
-def _log_grid(ms: list, tmax: int, w: int, vb: int) -> ScaledGrid:
-    """log as a (t, degree) grid, m_j at degree p^j, under the product bounds."""
-    out = ScaledGrid(ms[0].p)
-    for j, mj in enumerate(ms):
-        deg = mj.p**j
-        if deg > vb:
-            break
-        out.absorb(
-            mj.scale,
-            {(t, deg): m for t, m in mj.terms.items() if t <= tmax and t * w + deg <= vb},
-        )
-    return out
 
 
 def _grade(what: str, t: int, k: int, w: int, p: int, n: int) -> int:
@@ -377,9 +324,11 @@ _UNIT = [(0, 0, 1)]
 
 
 class TriangleGrid:
-    """A weight-w grid on the graded triangle: values mantissa * p^(-scale)
-    with the mantissas Python ints in an object array indexed (t, g).  The
-    same scale discipline as ``ScaledGrid``."""
+    """A weight-w grid on the graded triangle: exact values
+    mantissa * p^(-scale), the mantissas Python ints in an object array
+    indexed (t, g) at one shared scale.  Scales only grow by lifting
+    mantissas with exact p-powers; ``strip`` lowers them again, and
+    ``certify`` is the only way out to residues mod p."""
 
     __slots__ = ("p", "scale", "cells")
 
@@ -402,38 +351,40 @@ class TriangleGrid:
         _triangle_mul(self.cells, terms, cells, c * self.lift(scale))
 
     def strip(self) -> "TriangleGrid":
-        """``ScaledGrid.strip`` on the cells."""
+        """Divide out the largest p-power common to every cell, down to
+        scale 0 at most.  The result depends only on the exact values."""
         g = _shared_p_power(self.p, self.scale, self.cells[self.cells != 0])
         if g:
             self.cells //= self.p**g
             self.scale -= g
         return self
 
-    def ungraded(self, w: int, n: int) -> ScaledGrid:
-        """The nonzero cells as a (t, degree) ``ScaledGrid``."""
-        p = self.p
+    def certify(self, w: int, n: int, what: str) -> dict:
+        """Certify p-integrality of every cell and reduce mod p, keyed
+        (t, degree) by the weight-w grading.  The first cell in row-major
+        order that p^scale does not divide raises IntegralityFailure."""
+        p, q = self.p, self.p**self.scale
+        out = {}
         ts, gs = np.nonzero(self.cells)
-        return ScaledGrid(
-            p,
-            self.scale,
-            {
-                (t, w + (p**n - 1) * t + (p ** (n + 1) - 1) * (g - t)): self.cells[t, g]
-                for t, g in zip(ts.tolist(), gs.tolist())
-            },
-        )
+        for t, g in zip(ts.tolist(), gs.tolist()):
+            key = (t, w + (p**n - 1) * t + (p ** (n + 1) - 1) * (g - t))
+            m = self.cells[t, g]
+            if m % q:
+                raise IntegralityFailure(
+                    f"{what}: coefficient at {key} has denominator p^{self.scale} "
+                    "after exact evaluation; the construction is broken"
+                )
+            if r := (m // q) % p:
+                out[key] = r
+        return out
 
 
 def _power_pass(
-    p: int,
-    n: int,
-    ulevels: int,
-    exp_rows: list,
-    log_a: ScaledGrid,
-    vbound: int,
-    multiples: list,
+    p: int, n: int, ulevels: int, exp_rows: list, vbound: int, multiples: list
 ) -> list:
     """[i](a) = sum_l i^l * E_l * (log a)^l for each i in ``multiples``, as
-    weight-1 grids on t*d + deg <= vbound, in one pass over the powers
+    weight-1 ``TriangleGrid``s on t*d + deg <= vbound, from the graded rows
+    of ``reduced_exp_rows`` and of ``_log_terms``, in one pass over the powers
     (log a)^l: each product E_l * (log a)^l is formed once and added to
     every sum over the block it can reach, the rows from the least t and the
     columns from the least grade of E_l's terms.  The running power is
@@ -444,27 +395,26 @@ def _power_pass(
     def zeros(w: int):
         return _zero_triangle(p, n, w, vbound, tmax)
 
-    rows = [
-        [(t, _grade(f"E_{K}", t, K, 1, p, n), m) for t, m in row.terms.items()]
-        for K, row in enumerate(exp_rows)
-    ]
-    base = [(t, _grade("log a", t, k, 1, p, n), m) for (t, k), m in log_a.terms.items()]
+    # log a at one scale; terms past the triangle's bounds add nothing.
+    logs = _log_terms(p, n, _jmax_for(p, vbound))
+    log_scale = max(scale for scale, _ in logs)
+    base = [(t, g, m * p ** (log_scale - scale)) for scale, terms in logs for t, g, m in terms]
     outs = [TriangleGrid(p, 0, zeros(1)) for _ in multiples]
     power = TriangleGrid(p, 0, np.ones((1, 1), dtype=object))
-    for l, terms in enumerate(rows):
+    for l, (row_scale, terms) in enumerate(exp_rows):
         if terms:
             t0, g0 = min(t for t, _, _ in terms), min(g for _, g, _ in terms)
             block = _triangle_mul(zeros(1), terms, power.cells, 1)[t0:, g0:]
-            scale = exp_rows[l].scale + power.scale
+            scale = row_scale + power.scale
             for i, out in zip(multiples, outs):
                 out.cells[t0:, g0:] += (i**l * out.lift(scale)) * block
-        if l + 1 < len(rows):
+        if l + 1 < len(exp_rows):
             power = TriangleGrid(
                 p,
-                power.scale + log_a.scale,
+                power.scale + log_scale,
                 _triangle_mul(zeros(l + 1), base, power.cells, 1),
             ).strip()
-    return [out.ungraded(1, n) for out in outs]
+    return outs
 
 
 def addition_slab(p: int, n: int, ulevels: int, vbound: int, x_cap: int) -> dict:
@@ -485,19 +435,12 @@ def addition_slab(p: int, n: int, ulevels: int, vbound: int, x_cap: int) -> dict
     e = p**n - 1
     N = (vbound + x_cap - 1) // D
     rows = min(ulevels - 1, N) + 1
-    ms = reduced_log_rows(p, n, _jmax_for(p, vbound + x_cap))
     # Terms (t, grade shift, mantissa) of p^j m_j, j >= 1.
     lterms = []
-    for j, mj in enumerate(ms[1:], 1):
-        if mj.scale > j:
+    for j, (scale, terms) in enumerate(_log_terms(p, n, _jmax_for(p, vbound + x_cap))[1:], 1):
+        if scale > j:
             raise IntegralityFailure(f"p^{j} m_{j} is not p-integral; the construction is broken")
-        lterms.append(
-            [
-                (t, s, m * p ** (j - mj.scale))
-                for t, m in mj.terms.items()
-                if (s := _grade(f"m_{j}", t, p**j, 1, p, n)) <= N and t < rows
-            ]
-        )
+        lterms.append([(t, g, m * p ** (j - scale)) for t, g, m in terms if g <= N and t < rows])
     t_, g_ = np.indices((rows, N + 1))
     ydeg = e * t_ + D * (g_ - t_)  # the y-degree of cell (t, g) of F_k, less 1 - k
 
@@ -533,7 +476,7 @@ def addition_slab(p: int, n: int, ulevels: int, vbound: int, x_cap: int) -> dict
     for k, Fk in enumerate(F):
         # t*d + y-degree = 1 - k + D g <= vbound
         kept = TriangleGrid(p, Fk.scale, Fk.cells[:, : (vbound + k - 1) // D + 1])
-        for (t, y), r in kept.ungraded(1 - k, n).certify(f"F_{k}").items():
+        for (t, y), r in kept.certify(1 - k, n, f"F_{k}").items():
             slab[(t, y, k)] = r
     return slab
 
@@ -576,14 +519,13 @@ def build_reduced_law_data(config: ChromaticConfig) -> ReducedLawData:
     # [i](a) = sum_l E_l i^l (log a)^l, all the multiples i in one pass over
     # (log a)^l, sharing one product E_l (log a)^l per power.
     exp_rows = reduced_exp_rows(p, n, a_cap, ulevels, d, a_cap)
-    log_a = _log_grid(reduced_log_rows(p, n, _jmax_for(p, a_cap)), ulevels - 1, d, a_cap)
     multiples = [p] + list(range(2, p)) + [-k for k in range(1, p)]
-    series = _power_pass(p, n, ulevels, exp_rows, log_a, a_cap, multiples)
+    series = _power_pass(p, n, ulevels, exp_rows, a_cap, multiples)
 
-    p_series_a = series[0].certify("p-series")
+    p_series_a = series[0].certify(1, n, "p-series")
     series_a = {1: {(0, 1): 1}}
     for i, grid in zip(multiples[1:], series[1:]):
-        series_a[i] = grid.certify(f"[{i}](a)")
+        series_a[i] = grid.certify(1, n, f"[{i}](a)")
 
     return ReducedLawData(
         config=config,

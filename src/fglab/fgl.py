@@ -283,7 +283,7 @@ def reduce_series(ms: MultiSeries, p: int, kill) -> dict:
     {exponents over the remaining variables: nonzero residue mod p}.
 
     This is the exact-rational stage's one way out to F_p, the counterpart
-    of ``ScaledGrid.certify``: a coefficient that is not p-integral raises
+    of ``TriangleGrid.certify``: a coefficient that is not p-integral raises
     NotPIntegral.  Killing first reduces fewer coefficients and is exact,
     since setting variables to 0 drops terms without merging any.
     """

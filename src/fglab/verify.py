@@ -520,6 +520,10 @@ def descent_rows(pipe: Pipeline) -> tuple[list, list]:
         ("descent_un5_plus_un7", USeries.monomial(p, M, 5) + USeries.monomial(p, M, 7)),
     ]
     for name, z in samples:
+        if z.is_zero():  # the sample lies past the horizon: nothing to descend from
+            detail = f"the sample vanishes at u-precision {M}; no descent to run"
+            rows.append(_row(name, True, detail=detail, horizon=True))
+            continue
         trace = descent_run(z, pipe.operator)
         traces.append(trace_payload(trace))
         strictly = all(b < a for a, b in zip(trace.weights, trace.weights[1:]))

@@ -196,12 +196,17 @@ def test_criterion_8_descent(pipeline, p, n):
     )
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (2, 2)])
-def test_verify_golden(p, n):
+@pytest.mark.parametrize(
+    "p,n,M,name",
+    [(3, 1, 32, "verify_p3_n1"), (2, 2, 32, "verify_p2_n2"), (5, 1, 8, "verify_p5_n1_m8")],
+    ids=["3-1", "2-2", "5-1-m8"],
+)
+def test_verify_golden(p, n, M, name):
     """The complete (3,1) and (2,2) reports, timing stripped, byte-exactly;
-    run_verify reuses the pipelines the criteria above cached."""
-    got = comparable_bytes(run_verify(p, n).to_dict())
-    with open(os.path.join(GOLDEN_DIR, f"verify_p{p}_n{n}.json"), "rb") as fh:
+    run_verify reuses the pipelines the criteria above cached.  (5,1) at
+    M = 8 pins Weierstrass, the isogeny and descent at p >= 5."""
+    got = comparable_bytes(run_verify(p, n, u_prec=M).to_dict())
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "rb") as fh:
         assert got == fh.read()
 
 

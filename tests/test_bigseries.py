@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from fglab import bigseries
 from fglab.bigseries import (
-    ScaledGrid,
     TriangleGrid,
     _grade,
-    _log_grid,
     _power_chain,
     _power_pass,
     _shared_p_power,
@@ -28,6 +26,52 @@ from fglab.bigseries import (
 from fglab.cli import main
 from fglab.errors import IntegralityFailure, OffGrading
 from fglab.fgl import ChromaticConfig, i_series, reduce_series
+from fglab.scalars import reduce_mod_p
+
+
+class DictGrid:
+    """Oracle values mantissa * p^(-scale) at one shared scale over dict keys:
+    the scaled-integer discipline of the engine, on the layout the oracles
+    below are written in."""
+
+    def __init__(self, p, scale=0, terms=None):
+        self.p, self.scale, self.terms = p, scale, {} if terms is None else terms
+
+    def absorb(self, scale, terms):
+        """Add mantissas given at ``scale``, lifting whichever side has the
+        smaller scale."""
+        if not terms:
+            return
+        if scale > self.scale:
+            lift = self.p ** (scale - self.scale)
+            self.terms = {k: m * lift for k, m in self.terms.items()}
+            self.scale = scale
+        lift = self.p ** (self.scale - scale)
+        for k, m in terms.items():
+            self.terms[k] = self.terms.get(k, 0) + m * lift
+
+    def strip(self):
+        """Drop zeros and divide out the common p-power, by trial division."""
+        terms = {k: m for k, m in self.terms.items() if m}
+        g = trial_division_p_power(self.p, self.scale, terms.values())
+        self.terms = {k: m // self.p**g for k, m in terms.items()}
+        self.scale -= g
+        return self
+
+    def certify(self):
+        """Residues mod p of the exact values; NotPIntegral if one is not p-integral."""
+        q = self.p**self.scale
+        out = {k: reduce_mod_p(Fraction(m, q), self.p) for k, m in self.terms.items()}
+        return {k: r for k, r in out.items() if r}
+
+
+def triangle_terms(cells, w, p, n):
+    """The nonzero cells of a weight-w triangle, keyed (t, degree)."""
+    ts, gs = np.nonzero(cells)
+    return {
+        (t, w + (p**n - 1) * t + (p ** (n + 1) - 1) * (g - t)): cells[t, g]
+        for t, g in zip(ts.tolist(), gs.tolist())
+    }
 
 
 def fraction_log_oracle(p, n, jmax):
@@ -51,8 +95,8 @@ def test_log_rows_match_fraction_oracle(p, n):
     jmax = 6
     rows = reduced_log_rows(p, n, jmax)
     oracle = fraction_log_oracle(p, n, jmax)
-    for j, row in enumerate(rows):
-        got = {t: Fraction(m, p**row.scale) for t, m in row.terms.items()}
+    for j, (scale, terms) in enumerate(rows):
+        got = {t: Fraction(m, p**scale) for t, m in terms.items()}
         assert got == oracle[j], f"m_{j} differs"
 
 
@@ -67,8 +111,8 @@ def test_exp_rows_match_rational_reversion(pipeline, p, n):
     # variables now (x, un)
     rows = reduced_exp_rows(p, n, cfg.formal_cap, 40, cfg.eisenstein_degree, 1000)
     for K in range(1, cfg.formal_cap + 1):
-        row = rows[K]
-        got = {t: Fraction(m, p**row.scale) for t, m in row.terms.items()}
+        scale, terms = rows[K]
+        got = {t: Fraction(m, p**scale) for t, _, m in terms}
         want = {}
         for e, c in exp_small.terms.items():
             if e[0] == K and c:
@@ -107,27 +151,27 @@ def exp_rows_oracle(p, n, deg_cap, ulevels, uweight, vbound):
     for j in range(1, jmax + 1):
         ensure(p**j)
     chain.sort()
-    arrays = {e: [ScaledGrid(p)] * (deg_cap + 1) for e in chain}
-    arrays[1][1] = ScaledGrid(p, 0, {0: 1})
+    arrays = {e: [DictGrid(p)] * (deg_cap + 1) for e in chain}
+    arrays[1][1] = DictGrid(p, 0, {0: 1})
     for K in range(2, deg_cap + 1):
         tm = min(ulevels - 1, (vbound - K) // uweight)
         for e in chain[1:]:
             e1, e2 = plan[e]
-            acc = ScaledGrid(p)
+            acc = DictGrid(p)
             for i in range(e1, K - e2 + 1):
                 r1, r2 = arrays[e1][i], arrays[e2][K - i]
                 if r1.terms and r2.terms:
                     acc.absorb(r1.scale + r2.scale, rows_mul(r1.terms, r2.terms, tm))
             arrays[e][K] = acc.strip()
-        acc = ScaledGrid(p)
+        acc = DictGrid(p)
         for j in range(1, jmax + 1):
             if p**j > K:
                 break
             rp = arrays[p**j][K]
             if rp.terms:
-                acc.absorb(ms[j].scale + rp.scale, rows_mul(ms[j].terms, rp.terms, tm))
+                acc.absorb(ms[j][0] + rp.scale, rows_mul(ms[j][1], rp.terms, tm))
         acc.strip()
-        arrays[1][K] = ScaledGrid(p, acc.scale, {t: -m for t, m in acc.terms.items()})
+        arrays[1][K] = DictGrid(p, acc.scale, {t: -m for t, m in acc.terms.items()})
     return arrays[1]
 
 
@@ -136,9 +180,9 @@ def exp_rows_oracle(p, n, deg_cap, ulevels, uweight, vbound):
 )
 def test_exp_rows_match_k_ordered_oracle(monkeypatch, p, n, M):
     """The grade-ordered solve gives the K-ordered dict solve's rows bit for
-    bit, scale and terms in the same order, on the call build_reduced_law_data makes, and on a
-    call whose vbound is past deg_cap, so the K <= deg_cap cut bounds t below
-    in each column."""
+    bit, scale and terms in the same order, each term with its own grade, on
+    the call build_reduced_law_data makes, and on a call whose vbound is past
+    deg_cap, so the K <= deg_cap cut bounds t below in each column."""
     calls = []
 
     def recording(*args):
@@ -153,10 +197,11 @@ def test_exp_rows_match_k_ordered_oracle(monkeypatch, p, n, M):
         got = reduced_exp_rows(*args)
         want = exp_rows_oracle(*args)
         assert len(got) == len(want) == args[2] + 1
-        for K, (g, w) in enumerate(zip(got, want)):
-            assert (g.scale, list(g.terms.items())) == (w.scale, list(w.terms.items())), (
+        for K, ((scale, terms), w) in enumerate(zip(got, want)):
+            assert (scale, [(t, m) for t, _, m in terms]) == (w.scale, list(w.terms.items())), (
                 f"{args}: E_{K} differs"
             )
+            assert all(g == _grade(f"E_{K}", t, K, 1, p, n) for t, g, _ in terms)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -292,6 +337,15 @@ def _slab_mul(xgrid: dict, ygrid: dict, tmax: int, w: int, vb: int) -> dict:
     return out
 
 
+def log_grid(p, ms, tmax, w, vb):
+    """log as a (t, degree) grid, m_j at degree p^j, under the product bounds."""
+    out = DictGrid(p)
+    for j, (scale, terms) in enumerate(ms):
+        kept = {(t, p**j): m for t, m in terms.items() if t <= tmax and t * w + p**j <= vb}
+        out.absorb(scale, kept)
+    return out
+
+
 def slab_oracle(p, n, M):
     """The slab by exp on dict grids: F(x, y) = sum_m (log x)^m H_m(y) with
     H_m(y) = sum_l C(m + l, m) E_(m+l) (log y)^l, kept on t <= M + 1,
@@ -309,30 +363,31 @@ def slab_oracle(p, n, M):
     def y_keep(t, deg):
         return t <= tmax and t * d + deg <= vb
 
-    log_y = _log_grid(ms, tmax, d, vb)
-    H = [ScaledGrid(p, 0, {(0, 1): 1})] + [ScaledGrid(p) for _ in range(x_cap)]
-    power = ScaledGrid(p, 0, {(0, 0): 1})  # (log y)^l
+    log_y = log_grid(p, ms, tmax, d, vb)
+    H = [DictGrid(p, 0, {(0, 1): 1})] + [DictGrid(p) for _ in range(x_cap)]
+    power = DictGrid(p, 0, {(0, 0): 1})  # (log y)^l
     for l in range(vb + 1):
         for m in range(1, x_cap + 1):
-            row = exp_rows[m + l]
-            prod = row_grid_mul_oracle(row.terms, power.terms, tmax, d, vb)
-            H[m].absorb(row.scale + power.scale, {k: comb(m + l, m) * v for k, v in prod.items()})
-        power = ScaledGrid(
+            scale, terms = exp_rows[m + l]
+            row = {t: c for t, _, c in terms}
+            prod = row_grid_mul_oracle(row, power.terms, tmax, d, vb)
+            H[m].absorb(scale + power.scale, {k: comb(m + l, m) * v for k, v in prod.items()})
+        power = DictGrid(
             p, power.scale + log_y.scale, _dict_mul(power.terms, log_y.terms, y_keep)
         ).strip()
 
     xt = min(tmax, vb // d)
-    log_x = _log_grid(ms, xt, 0, x_cap)
-    slab = ScaledGrid(p)
-    power = ScaledGrid(p, 0, {(0, 0): 1})  # (log x)^m over keys (t, x-degree)
+    log_x = log_grid(p, ms, xt, 0, x_cap)
+    slab = DictGrid(p)
+    power = DictGrid(p, 0, {(0, 0): 1})  # (log x)^m over keys (t, x-degree)
     for h in H:
         slab.absorb(h.scale + power.scale, _slab_mul(power.terms, h.terms, tmax, d, vb))
-        power = ScaledGrid(
+        power = DictGrid(
             p,
             power.scale + log_x.scale,
             _dict_mul(power.terms, log_x.terms, lambda t, deg: t <= xt and deg <= x_cap),
         ).strip()
-    return slab.certify("oracle slab")
+    return slab.certify()
 
 
 @pytest.mark.parametrize(
@@ -351,7 +406,7 @@ def test_slab_matches_exp_oracle(pipeline, p, n, M):
 def _corrupt_m1(monkeypatch, scale_shift: int, key: int, mantissa):
     def rows(p, n, jmax):
         ms = reduced_log_rows(p, n, jmax)
-        ms[1] = ScaledGrid(p, ms[1].scale + scale_shift, {**ms[1].terms, key: mantissa})
+        ms[1] = (ms[1][0] + scale_shift, {**ms[1][1], key: mantissa})
         return ms
 
     monkeypatch.setattr(bigseries, "reduced_log_rows", rows)
@@ -425,24 +480,70 @@ def test_shared_p_power_matches_trial_division(p, cap, parts, fraction):
         assert want == cap
 
 
+def _cells(rows):
+    return np.array(rows, dtype=object)
+
+
 def test_grid_to_residues_certifies():
-    # 3 / 2 is not 2-integral: the mantissa 3 at scale 1 fails
-    with pytest.raises(IntegralityFailure):
-        ScaledGrid(2, 1, {(0, 0): 3}).certify("test")
-    assert ScaledGrid(2, 1, {(0, 0): 6}).certify("test") == {(0, 0): 1}
-    assert ScaledGrid(2, 1, {(0, 0): 4}).certify("test") == {}
+    # 3 / 2 is not 2-integral: the mantissa 3 at scale 1 fails; the weight-1
+    # cell (0, 0) at p = 2, n = 1 is the key (0, 1).
+    with pytest.raises(IntegralityFailure, match=r"test: coefficient at \(0, 1\)"):
+        TriangleGrid(2, 1, _cells([[3]])).certify(1, 1, "test")
+    assert TriangleGrid(2, 1, _cells([[6]])).certify(1, 1, "test") == {(0, 1): 1}
+    assert TriangleGrid(2, 1, _cells([[4]])).certify(1, 1, "test") == {}
 
 
 def test_scaled_grid_absorb_and_strip():
     """absorb lifts to the larger scale; strip returns to the smallest one
     that keeps every mantissa integral, whatever the values were built from."""
-    g = ScaledGrid(3, 1, {0: 2})  # 2/3
-    g.absorb(2, {0: 3, 1: 9})  # + 3/9 at t = 0, + 9/9 at t = 1
-    assert (g.scale, g.terms) == (2, {0: 9, 1: 9})
+    g = TriangleGrid(3, 1, _cells([[2, 0], [0, 0]]))  # 2/3 at (0, 0)
+    g.absorb(2, 1, [(0, 0, 1)], _cells([[3, 0], [0, 9]]))  # + 3/9 at (0, 0), + 9/9 at (1, 1)
+    assert (g.scale, g.cells.tolist()) == (2, [[9, 0], [0, 9]])
     g.strip()
-    assert (g.scale, g.terms) == (0, {0: 1, 1: 1})
-    g.absorb(1, {0: -3})
-    assert (g.strip().scale, g.terms) == (0, {1: 1})
+    assert (g.scale, g.cells.tolist()) == (0, [[1, 0], [0, 1]])
+    g.absorb(1, -1, [(0, 0, 3)], _cells([[1, 0], [0, 0]]))  # - 3/3 at (0, 0)
+    assert (g.strip().scale, g.cells.tolist()) == (0, [[0, 0], [0, 1]])
+
+
+@st.composite
+def triangles(draw):
+    """(p, scale, cells): cells u * p^k on t <= g, zero below, with k up to
+    scale + 1, so some cells are divisible by p^scale and some are not."""
+    p, scale = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 4))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    cells = np.zeros((rows, cols), dtype=object)
+    for t in range(rows):
+        for g in range(t, cols):
+            u, k = draw(st.integers(-(10**6), 10**6)), draw(st.integers(0, scale + 1))
+            cells[t, g] = u * p**k
+    return p, scale, cells
+
+
+@example(tri=(3, 0, _cells([[-4, 0], [0, 7]])), w=1, n=1)  # scale 0: all integral
+@example(tri=(2, 2, _cells([[4, -2, 8], [0, 6, 0]])), w=-3, n=2)  # (0, 1) fails first
+@example(tri=(2, 1, _cells([[2, -4, 1], [0, 3, 0]])), w=1, n=1)  # (0, 2) before (1, 1)
+@example(tri=(5, 1, _cells([[0, 0], [0, 0]])), w=0, n=1)  # nothing to certify
+@given(tri=triangles(), w=st.integers(-8, 8), n=st.integers(1, 2))
+def test_triangle_certify_matches_fraction_oracle(tri, w, n):
+    """Where p^scale divides every cell, certify gives the residue of
+    Fraction(m, p^scale) at each cell whose residue is nonzero, keyed
+    (t, w + (p^n - 1) t + (p^(n+1) - 1)(g - t)); otherwise it names the first
+    cell in row-major order that p^scale does not divide."""
+    p, scale, cells = tri
+
+    def key(t, g):
+        return (t, w + (p**n - 1) * t + (p ** (n + 1) - 1) * (g - t))
+
+    places = [(t, g) for t in range(cells.shape[0]) for g in range(cells.shape[1])]
+    bad = [(t, g) for t, g in places if Fraction(cells[t, g], p**scale).denominator > 1]
+    grid = TriangleGrid(p, scale, cells)
+    if bad:
+        with pytest.raises(IntegralityFailure) as err:
+            grid.certify(w, n, "cell")
+        assert str(err.value).startswith(f"cell: coefficient at {key(*bad[0])} has denominator")
+    else:
+        residues = {key(t, g): reduce_mod_p(Fraction(cells[t, g], p**scale), p) for t, g in places}
+        assert grid.certify(w, n, "cell") == {k: r for k, r in residues.items() if r}
 
 
 # sha256 of repr(sorted(grid.items())) for every grid of the stock
@@ -520,8 +621,8 @@ def row_grid_mul_oracle(row: dict, grid: dict, tmax: int, w: int, vb: int) -> di
     return out
 
 
-def _values(grid: ScaledGrid) -> dict:
-    return {k: Fraction(m, grid.p**grid.scale) for k, m in grid.terms.items() if m}
+def _values(p: int, scale: int, terms: dict) -> dict:
+    return {k: Fraction(m, p**scale) for k, m in terms.items() if m}
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
@@ -536,7 +637,7 @@ def test_triangle_product_matches_dict_oracle(p, n, seed):
     d = D - e
     vb, offset = 14 * d + rng.randrange(D), rng.randrange(3)
     for tmax in (2, 60):
-        oracle = ScaledGrid(p)
+        oracle = DictGrid(p)
         target = TriangleGrid(p, 0, _zero_triangle(p, n, 1 - offset, vb, tmax))
         for _ in range(5):
             K = 1 + e * rng.randrange(3) + D * rng.randrange(2)
@@ -560,9 +661,9 @@ def test_triangle_product_matches_dict_oracle(p, n, seed):
                 cells[t, _grade("power", t, k, l, p, n)] = m
             terms = [(t, _grade("row", t, K, 1, p, n), m) for t, m in row.items()]
             target.absorb(s_row + s_pow, c, terms, cells)
-        got = target.ungraded(1 - offset, n)
-        assert got.terms and _values(got) == _values(oracle)
-        assert max(t for t, _ in got.terms) <= tmax
+        got = triangle_terms(target.cells, 1 - offset, p, n)
+        assert got and _values(p, target.scale, got) == _values(p, oracle.scale, oracle.terms)
+        assert max(t for t, _ in got) <= tmax
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
@@ -611,31 +712,26 @@ def test_triangle_product_groups_repeated_mantissas(p, n, seed):
                     if mm == m and h > 0:
                         shapes.add((h, w))
                 cut_apart |= len(shapes) > 1
-        got = TriangleGrid(p, 0, target).ungraded(1 - offset, n).terms
+        got = triangle_terms(target, 1 - offset, p, n)
         assert got and got == {k: m for k, m in oracle.items() if m}
     assert cut_apart
 
 
 def test_off_grading_key_raises(monkeypatch):
-    ms = reduced_log_rows(2, 1, 3)
-    log_a = _log_grid(ms, 5, 2, 20)
+    """The log is graded in one place, which every reader goes through: an
+    off-grading key in m_1 raises in the exp solve, in the power pass and in
+    the whole build.  m_1 sits at x-degree 2 = 1 + t + 3j: (0, 2) misses it,
+    (4, 2) needs j = -1."""
     rows = reduced_exp_rows(2, 1, 20, 6, 2, 20)
-    # (0, 2) misses k = 1 + t + 3j; (3, 1) needs j = -1.
-    for key in [(0, 2), (3, 1)]:
-        bad = ScaledGrid(2, log_a.scale, {**log_a.terms, key: 1})
-        with pytest.raises(OffGrading, match=rf"log a: key \({key[0]}, {key[1]}\)"):
-            _power_pass(2, 1, 6, rows, bad, 20, [1])
-    bad_rows = list(rows)
-    bad_rows[4] = ScaledGrid(2, rows[4].scale, {**rows[4].terms, 1: 1})
-    with pytest.raises(OffGrading, match=r"E_4: key \(1, 4\)"):
-        _power_pass(2, 1, 6, bad_rows, log_a, 20, [1])
-    # m_1 sits at x-degree 2 = 1 + t + 3j: (0, 2) misses it, (4, 2) needs j = -1.
     for key in [(0, 2), (4, 2)]:
-        bad_ms = reduced_log_rows(2, 1, 4)
-        bad_ms[1] = ScaledGrid(2, bad_ms[1].scale, {**bad_ms[1].terms, key[0]: 1})
-        monkeypatch.setattr(bigseries, "reduced_log_rows", lambda p, n, jmax: bad_ms)
-        with pytest.raises(OffGrading, match=rf"m_1: key \({key[0]}, {key[1]}\)"):
+        _corrupt_m1(monkeypatch, 0, key[0], 1)
+        match = rf"m_1: key \({key[0]}, {key[1]}\)"
+        with pytest.raises(OffGrading, match=match):
             reduced_exp_rows(2, 1, 20, 6, 2, 20)
+        with pytest.raises(OffGrading, match=match):
+            _power_pass(2, 1, 6, rows, 20, [1])
+        with pytest.raises(OffGrading, match=match):
+            bigseries.build_reduced_law_data(ChromaticConfig(2, 1, u_precision=4))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])

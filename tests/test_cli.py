@@ -50,6 +50,17 @@ class TestExitCodes:
         assert main(argv + ["12", "--max-weight", "11"]) == 0
         capsys.readouterr()
 
+    def test_descent_sample_past_the_horizon_is_flagged(self, capsys):
+        """u^5 + u^7 is zero at M = 5: its row is horizon-flagged, it runs no
+        trace, and the run passes."""
+        assert main(["verify", "--p", "2", "--n", "2", "--u-prec", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert validate_report(report) == []
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["descent_un5_plus_un7"] == "horizon-flagged"
+        assert status["descent_un"] == status["descent_un_squared"] == "pass"
+        assert len(report["descent_traces"]) == 2
+
     def test_random_weight_zero_rejected(self, capsys):
         argv = ["descent", "--p", "2", "--n", "1", "--random", "5", "--max-weight", "0"]
         assert main(argv) == 2
